@@ -5,14 +5,18 @@ with x and y adjacent exactly when the circular difference
 min(|x-y|, n-|x-y|) is one of the offsets d_i.  Offsets must satisfy
 1 <= d < n/2, so the graph is simple, loop-free and 2k-regular.
 
-Vertex subsets are handled as int bitmasks internally (bit u set means
-vertex u is in the set).  Python ints are arbitrary precision, so one
-representation covers every n with identical semantics.
+A graph stores only n, its offsets and its closed pattern
+(0, +d_1, -d_1, ..., +d_k, -d_k): N[u] is u plus the pattern, mod n, so
+every neighbourhood query costs O(degree) and a graph costs O(k) memory
+whatever n is.  The per-vertex closed-neighbourhood bitmasks that the
+exhaustive search reads at small n are built on first access only.
+
+Vertex subsets are handled as int bitmasks (bit u set means vertex u is
+in the set); ``mask_of`` and ``set_of`` convert in linear time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
 from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange
@@ -21,33 +25,38 @@ __all__ = ["CirculantGraph", "mask_of", "set_of"]
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertices into a bitmask."""
-    m = 0
+    """Pack nonnegative vertices into a bitmask, in linear time.
+
+    One ASCII digit per vertex, read as a base-2 numeral.
+    """
+    vertices = list(vertices)
+    if not vertices:
+        return 0
+    if min(vertices) < 0:
+        raise ValueError(f"vertices must be nonnegative, got {min(vertices)}")
+    digits = bytearray(b"0") * (max(vertices) + 1)
     for v in vertices:
-        m |= 1 << v
-    return m
+        digits[v] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
 
 
 def set_of(mask: int) -> frozenset[int]:
-    """Unpack a bitmask into a frozenset of vertices."""
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
+    """Unpack a nonnegative bitmask into a frozenset of vertices, in linear time."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    return frozenset(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 class CirculantGraph:
     """The circulant graph C(n; d_1,...,d_k).
 
     Immutable after construction; all query methods are pure, so
-    instances are safe to share between threads.
+    instances are safe to share between threads (two threads that race
+    on the lazy ``_closed_masks`` build the same tuple).
     """
 
-    __slots__ = ("n", "offsets", "_closed_masks")
+    __slots__ = ("n", "offsets", "pattern", "_masks")
 
     def __init__(self, n: int, offsets: Iterable[int] = (1, 3)):
         offsets = tuple(offsets)
@@ -64,15 +73,34 @@ class CirculantGraph:
                 )
         self.n = n
         self.offsets = tuple(sorted(offsets))
-        # Closed-neighbourhood bitmasks; the workhorse of every verifier.
-        masks = []
-        for u in range(n):
-            m = 1 << u
-            for d in self.offsets:
-                m |= 1 << ((u + d) % n)
-                m |= 1 << ((u - d) % n)
-            masks.append(m)
-        self._closed_masks = tuple(masks)
+        # N[u] = {u + p mod n : p in pattern}.  The 2k+1 residues are
+        # distinct because every offset is below n/2.
+        pattern = [0]
+        for d in self.offsets:
+            pattern += (d, -d)
+        self.pattern = tuple(pattern)
+        self._masks = None
+
+    @property
+    def _closed_masks(self) -> tuple[int, ...]:
+        """Closed-neighbourhood bitmask of every vertex: O(n^2) bits.
+
+        For the exhaustive search and the naive oracle, which run at small
+        n only; built on first access and kept.
+        """
+        masks = self._masks
+        if masks is None:
+            n = self.n
+            offsets = self.offsets
+            masks = []
+            for u in range(n):
+                m = 1 << u
+                for d in offsets:
+                    m |= 1 << ((u + d) % n)
+                    m |= 1 << ((u - d) % n)
+                masks.append(m)
+            self._masks = masks = tuple(masks)
+        return masks
 
     # -- basic queries -------------------------------------------------
 
@@ -96,27 +124,21 @@ class CirculantGraph:
         diff = abs(x - y)
         return min(diff, self.n - diff) in self.offsets
 
-    def closed_neighborhood_mask(self, u: int) -> int:
-        """Bitmask of N[u] = N(u) + {u}."""
-        self.check_vertex(u)
-        return self._closed_masks[u]
-
     def closed_neighborhood(self, u: int) -> frozenset[int]:
         """N[u] as a frozenset."""
-        return set_of(self.closed_neighborhood_mask(u))
+        self.check_vertex(u)
+        n = self.n
+        return frozenset((u + p) % n for p in self.pattern)
 
     def neighbors(self, u: int) -> frozenset[int]:
         """Open neighbourhood N(u)."""
-        return set_of(self.closed_neighborhood_mask(u) & ~(1 << u))
+        return self.closed_neighborhood(u) - {u}
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as sorted pairs (x, y) with x < y."""
-        out = []
-        for x in range(self.n):
-            for y in sorted(self.neighbors(x)):
-                if x < y:
-                    out.append((x, y))
-        return out
+        """All edges as sorted pairs (x, y) with x < y, in ascending order."""
+        n = self.n
+        return sorted((min(x, y), max(x, y))
+                      for x in range(n) for y in ((x + d) % n for d in self.offsets))
 
     def ball(self, u: int, r: int) -> frozenset[int]:
         """Vertices at graph distance <= r from u (the set N_r[u]).
@@ -127,17 +149,16 @@ class CirculantGraph:
         self.check_vertex(u)
         if r < 0:
             raise ValueError(f"radius must be nonnegative, got {r}")
-        seen = 1 << u
-        frontier = deque([(u, 0)])
-        while frontier:
-            x, dist = frontier.popleft()
-            if dist == r:
-                continue
-            new = self._closed_masks[x] & ~seen
-            seen |= new
-            for y in set_of(new):
-                frontier.append((y, dist + 1))
-        return set_of(seen)
+        n = self.n
+        seen = {u}
+        frontier = [u]
+        for _ in range(r):
+            frontier = [y for y in {(x + p) % n for x in frontier for p in self.pattern}
+                        if y not in seen]
+            if not frontier:
+                break
+            seen.update(frontier)
+        return frozenset(seen)
 
     # -- dunder --------------------------------------------------------
 

@@ -93,11 +93,19 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _parse_threshold(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"malformed threshold: {text!r}")
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     kind = _parse_kind(args.kind)
     offsets = _parse_ints(args.offsets, "offsets")
     members = _parse_code_arg(args.code)
+    thr = _parse_threshold(args.heavy) if args.heavy is not None else None
     g = CirculantGraph(args.n, offsets)
     code = Code(g, members)
     result = code.verify(kind)
@@ -114,18 +122,25 @@ def cmd_verify(args) -> int:
         shadows = {u: sorted(code.shadow(u)) for u in range(g.n)}
         outcome["shadows"] = {str(u): s for u, s in shadows.items()}
         lines += [f"  shadow[{u}] = {s}" for u, s in shadows.items()]
-    if args.shares and result.ok:
+    wanted = [name for name, on in (("shares", args.shares), ("heavy", thr is not None)) if on]
+    if wanted and not result.ok:
+        outcome["skipped"] = wanted
+        if not args.json:
+            print(f"note: {' and '.join('--' + w for w in wanted)} skipped: "
+                  f"the code is {result.status.value}", file=sys.stderr)
+    elif wanted:
         shares = {u: code.share(u) for u in sorted(code.members)}
-        outcome["shares"] = {str(u): _fraction_str(s) for u, s in shares.items()}
-        outcome["sum_of_shares"] = _fraction_str(code.sum_of_shares())
-        lines += [f"  share[{u}] = {_fraction_str(s)}" for u, s in shares.items()]
-        lines.append(f"  sum of shares = {outcome['sum_of_shares']}")
-    if args.heavy is not None and result.ok:
-        thr = Fraction(args.heavy)
-        heavy = code.heavy_vertices(thr)
-        outcome["heavy"] = {str(u): list(code.profile(u)) for u in heavy}
-        lines.append(f"  heavy (share > {_fraction_str(thr)}): "
-                     + (", ".join(f"{u} profile {code.profile(u)}" for u in heavy) or "none"))
+        if args.shares:
+            outcome["shares"] = {str(u): _fraction_str(s) for u, s in shares.items()}
+            outcome["sum_of_shares"] = _fraction_str(sum(shares.values(), Fraction(0)))
+            lines += [f"  share[{u}] = {_fraction_str(s)}" for u, s in shares.items()]
+            lines.append(f"  sum of shares = {outcome['sum_of_shares']}")
+        if thr is not None:
+            heavy = {u: code.profile(u) for u, s in shares.items() if s > thr}
+            outcome["heavy"] = {str(u): list(p) for u, p in heavy.items()}
+            lines.append(f"  heavy (share > {_fraction_str(thr)}): "
+                         + (", ".join(f"{u} profile {p}" for u, p in heavy.items())
+                            or "none"))
     params = {"n": args.n, "offsets": offsets, "kind": kind.value,
               "code": sorted(set(members)), "k": None, "budget": None,
               "threads": None, "seed": None}

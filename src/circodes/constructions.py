@@ -196,6 +196,14 @@ def identifying_code_size(n: int) -> int:
     return -(-4 * n // 11) + (1 if extra else 0)
 
 
+def _checked(code: Code, size: int) -> Code:
+    """Return code, or raise if a table row disagrees with the size formula."""
+    if len(code) != size:
+        raise RuntimeError(f"table row for n={code.graph.n} produced size "
+                           f"{len(code)}, expected {size}")
+    return code
+
+
 def _tiled_code(n: int, period: int, pattern: tuple[int, ...], patch: tuple[int, ...]) -> Code:
     members = set(_blocks(period, pattern, n // period))
     for o in patch:
@@ -211,9 +219,7 @@ def locating_code_for(n: int) -> Code:
     reached (all n <= 38 in class 2 mod 3, and n <= 33 in class 3 mod 6).
     """
     size = locating_code_size(n)  # raises UnsupportedOrder below 13
-    code = _tiled_code(n, 6, LOCATING_BLOCK, _LOCATING_ROWS[n % 6])
-    assert len(code) == size, f"table row for n={n} produced size {len(code)}"
-    return code
+    return _checked(_tiled_code(n, 6, LOCATING_BLOCK, _LOCATING_ROWS[n % 6]), size)
 
 
 def identifying_code_for(n: int) -> Code:
@@ -228,5 +234,4 @@ def identifying_code_for(n: int) -> Code:
         code = Code(CirculantGraph(n), _IDENTIFYING_SPECIALS[n])
     else:
         code = _tiled_code(n, 11, IDENTIFYING_BLOCK, _IDENTIFYING_ROWS[n % 11])
-    assert len(code) == size, f"table row for n={n} produced size {len(code)}"
-    return code
+    return _checked(code, size)

@@ -51,7 +51,6 @@ DEFAULT_SEARCH_BUDGETS = {Kind.LOCATING: 38, Kind.IDENTIFYING: 33, Kind.DOMINATI
 BUDGET_ENV_VAR = "CIRCODES_BUDGET"
 
 NAIVE_LIMIT = 16
-_PROGRESS_EVERY = 1 << 16
 
 
 @dataclass(frozen=True)

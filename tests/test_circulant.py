@@ -126,3 +126,7 @@ def test_mask_helpers_roundtrip():
     assert set_of(mask_of(vs)) == vs
     assert mask_of([]) == 0
     assert set_of(0) == frozenset()
+    with pytest.raises(ValueError):
+        mask_of([3, -1])
+    with pytest.raises(ValueError):
+        set_of(-1)

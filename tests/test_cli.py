@@ -83,6 +83,26 @@ def test_verify_shares_and_heavy(capsys):
     assert "(1, 2, 2, 2, 3)" in out
 
 
+def test_verify_malformed_heavy_exit_two_on_invalid_code(capsys):
+    for thresh in ("abc", "1/0"):
+        code, _, err = run(capsys, "verify", "-n", "7", "--code", "0",
+                           "--kind", "dominating", "--heavy", thresh)
+        assert code == 2
+        assert "malformed threshold" in err
+
+
+def test_verify_reports_skipped_shares(capsys):
+    argv = ("verify", "-n", "7", "--code", "0", "--kind", "dominating",
+            "--shares", "--heavy", "3")
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "--shares and --heavy skipped" in err
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["outcome"]["skipped"] == ["shares", "heavy"]
+    assert "shares" not in doc["outcome"] and "heavy" not in doc["outcome"]
+
+
 def test_verify_shadows(capsys):
     code, out, _ = run(capsys, "verify", "-n", "7", "--code", "0,2,4",
                        "--kind", "dominating", "--shadows")

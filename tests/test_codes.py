@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from circodes import (
     ShareUndefined,
     Status,
     heavy_profile_violations,
+    locating_code_for,
 )
 from circodes.codes import valid_mask
 
@@ -235,3 +237,30 @@ def test_valid_mask_agrees_with_verify():
         code = Code(g, members)
         for kind in Kind:
             assert valid_mask(13, code.mask, nbhd, 6, kind) == code.verify(kind).ok
+
+
+def test_shadow_sizes_wider_than_one_byte():
+    # 128 offsets give |N[x]| = 257, past what one byte per vertex can count
+    g = CirculantGraph(300, range(1, 129))
+    members = set(range(0, 300, 2))
+    code = Code(g, members)
+    assert code.sum_of_shares() == 300
+    for u in (0, 1, 150, 299):
+        assert code.profile(u) == tuple(sorted(len(g.closed_neighborhood(x) & members)
+                                               for x in g.closed_neighborhood(u)))
+
+
+def test_verify_memory_is_linear_in_n():
+    n = 10**6
+    members = locating_code_for(n).members
+    tracemalloc.start()
+    try:
+        code = Code(CirculantGraph(n), members)
+        result = code.verify(Kind.LOCATING)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    # Per-vertex neighbourhood masks would need n * n / 8 bytes (125 GB);
+    # the whole-code kernel holds a few dozen n-bit integers.
+    assert peak < 16 * 2**20

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from circodes import constructions
 from circodes import (
     CirculantGraph,
     Code,
@@ -227,3 +228,10 @@ def test_periodic_agrees_with_finite_beyond_validity_floor():
         assert construct_A(t).is_locating()
     for t in range(1, 13):
         assert construct_B(t).is_identifying()
+
+
+def test_wrong_table_row_raises(monkeypatch):
+    # an explicit check, so it also holds under python -O
+    monkeypatch.setitem(constructions._IDENTIFYING_SPECIALS, 13, (0, 1, 6, 7))
+    with pytest.raises(RuntimeError, match="n=13 produced size 4, expected 5"):
+        identifying_code_for(13)

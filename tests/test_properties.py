@@ -1,14 +1,16 @@
 """Property-based checks of the structural invariants.
 
-Codes are drawn as random subsets of Z_n for 7 <= n <= 40; every property
-here is exact (no tolerances), so shrinking produces readable counterexamples.
+Codes are drawn as random subsets of Z_n for 7 <= n <= 40 (up to 60, with
+other offsets, against the all-pairs reference); every property here is
+exact (no tolerances), so shrinking produces readable counterexamples.
 """
 
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from circodes import CirculantGraph, Code, Kind
+from circodes import CirculantGraph, Code, Kind, Status
 from circodes.codes import valid_mask
 
 settings.register_profile("default", deadline=None, max_examples=150)
@@ -97,13 +99,69 @@ def test_distant_pairs_never_collide(gc):
                 assert code.shadow(v) != su
 
 
-@given(graph_and_code())
-def test_fast_verifier_matches_reference(gc):
+def reference_verify(n, offsets, members, kind):
+    """Status and witness from the definitions, comparing all O(n^2) pairs."""
+    shadows = [frozenset(x for x in {u, *((u + d) % n for d in offsets),
+                                     *((u - d) % n for d in offsets)} if x in members)
+               for u in range(n)]
+    for u in range(n):
+        if not shadows[u]:
+            return Status.NOT_DOMINATING, u
+    if kind is Kind.DOMINATING:
+        return Status.VALID, None
+    eligible = [u for u in range(n) if kind is Kind.IDENTIFYING or u not in members]
+    for i, u in enumerate(eligible):
+        for v in eligible[i + 1:]:
+            if shadows[u] == shadows[v]:
+                status = Status.NOT_LOCATING if kind is Kind.LOCATING else Status.NOT_IDENTIFYING
+                return status, (u, v)
+    return Status.VALID, None
+
+
+@st.composite
+def offsets_and_code(draw):
+    """Random offsets and n <= 60, with random or periodic members.
+
+    Periodic members come close to valid codes, so their witnesses are
+    often pairs that wrap around the cycle, (i, i + n - d).
+    """
+    offsets = draw(st.one_of(
+        st.sampled_from([(1, 2), (1, 3), (1, 4), (2, 5), (1, 3, 5)]),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True).map(tuple)))
+    n = draw(st.integers(2 * max(offsets) + 1, 60))
+    if draw(st.booleans()):
+        members = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    else:
+        period = draw(st.integers(2, 12))
+        residues = draw(st.sets(st.integers(0, period - 1), min_size=1))
+        shift = draw(st.integers(0, n - 1))
+        members = {(v + shift) % n for v in range(n) if v % period in residues}
+    return CirculantGraph(n, offsets), frozenset(members)
+
+
+@given(offsets_and_code())
+@example((CirculantGraph(8, (1, 3)), frozenset({0, 7})))           # witness (0, 7)
+@example((CirculantGraph(6, (1, 2)), frozenset({0, 1, 4, 5})))     # witness (0, 5)
+@example((CirculantGraph(13, (1, 3, 5)), frozenset({2, 3, 8})))    # witness (0, 11)
+def test_verifier_matches_all_pairs_reference(gc):
     g, members = gc
+    n = g.n
     code = Code(g, members)
     for kind in Kind:
-        assert valid_mask(g.n, code.mask, g._closed_masks, 6, kind) == \
-               code.verify(kind).ok
+        status, witness = reference_verify(n, g.offsets, members, kind)
+        result = code.verify(kind)
+        assert (result.status, result.witness) == (status, witness)
+        assert valid_mask(n, code.mask, g._closed_masks, 2 * g.offsets[-1], kind) == \
+               (status is Status.VALID)
+    for u in range(n):
+        nbhd = g.closed_neighborhood(u)
+        assert code.shadow(u) == nbhd & members
+        assert code.profile(u) == tuple(sorted(len(g.closed_neighborhood(x) & members)
+                                               for x in nbhd))
+    if code.is_dominating():
+        for u in members:
+            assert code.share(u) == sum(Fraction(1, len(g.closed_neighborhood(x) & members))
+                                        for x in g.closed_neighborhood(u))
 
 
 @given(st.integers(7, 40), st.integers(0, 39), st.integers(0, 6))
