@@ -194,6 +194,15 @@ def cmd_search(args) -> int:
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget, "threads": args.threads, "seed": None}
     if args.k is not None:
+        # --k runs unbudgeted unless --budget is given explicitly
+        if args.budget is not None and args.n > args.budget:
+            note = f"order {args.n} exceeds search budget {args.budget}"
+            outcome = {"exists": None, "size": args.k, "code": None, "note": note}
+            if args.json:
+                _emit(_manifest("search", params, outcome, t0), True, [])
+            else:
+                print(f"budget exceeded: {note}", file=sys.stderr)
+            return EXIT_BUDGET
         code = exists_code_of_size(g, kind, args.k, threads=args.threads,
                                    progress=progress)
         if code is not None:

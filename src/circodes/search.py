@@ -13,9 +13,22 @@ undominated.  Every surviving leaf is re-checked by the full verifier, so
 pruning bugs can only lose solutions, never invent them; the test suite
 compares against an unpruned oracle to guard the other direction.
 
+Once the last member sits at pos >= 4*dmax - 1, the pruning of a
+placement at pos + gap reads only the code bits pos-4*dmax+1 .. pos and the
+gap: every vertex it settles, and every pair partner within 2*dmax below,
+has an unwrapped shadow inside that window.  The verdict is then a function
+of (window, gap) alone, independent of n, and is cached in a per-process
+table per (offsets, kind), filled lazily by the same pruning loop on a miss.
+A placement becomes one table read.  Bit pos is always set, so the index
+drops it: 2**(4*dmax-1) windows times 2*dmax+2 gap slots, one byte each
+(16 KB for dmax = 3, 320 KB for dmax = 4).  Offsets with dmax > 4 would
+need 6 MB and more, and run the loop alone.  Node and prune counts are the
+same with or without the table.
+
 Partitions by the first two gaps are independent, which gives deterministic
-multiprocess parallelism: results merge in partition order, so the
-certificate never depends on the worker count.
+multiprocess parallelism: results merge in partition order up to the first
+partition holding a code, so neither the certificate nor the counts depend
+on the worker count.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .circulant import CirculantGraph
 from .codes import Code, Kind, valid_mask
-from .errors import BudgetExceeded, OracleTooLarge
+from .errors import BudgetExceeded, OracleTooLarge, UnsupportedOrder
 
 __all__ = [
     "BoundReport",
@@ -51,6 +64,25 @@ DEFAULT_SEARCH_BUDGETS = {Kind.LOCATING: 38, Kind.IDENTIFYING: 33, Kind.DOMINATI
 BUDGET_ENV_VAR = "CIRCODES_BUDGET"
 
 NAIVE_LIMIT = 16
+
+# Largest dmax that gets a window-verdict table (see the module docstring).
+WINDOW_TABLE_MAX_DMAX = 4
+# (offsets, kind) -> verdict per (window, gap): 0 unknown, 1 prune, 2 pass.
+# A cache of a pure function: a forked worker inherits it warm, a spawned
+# one fills its own.
+_WINDOW_TABLES: dict[tuple[tuple[int, ...], Kind], bytearray] = {}
+_PRUNE, _PASS = 1, 2
+
+
+def _window_table(offsets: tuple[int, ...], kind: Kind) -> bytearray | None:
+    dmax = offsets[-1]
+    if dmax > WINDOW_TABLE_MAX_DMAX:
+        return None
+    table = _WINDOW_TABLES.get((offsets, kind))
+    if table is None:
+        table = _WINDOW_TABLES[(offsets, kind)] = bytearray(
+            (1 << (4 * dmax - 1)) * (2 * dmax + 2))
+    return table
 
 
 @dataclass(frozen=True)
@@ -138,6 +170,10 @@ def _search_partition(n, offsets, kind, k, prefix):
     pair_reach = 2 * dmax
     check_pairs = kind is not Kind.DOMINATING
     skip_members = kind is Kind.LOCATING
+    table = _window_table(g.offsets, kind)
+    steady = 4 * dmax - 1
+    low = (1 << steady) - 1
+    stride = 2 * dmax + 2
     examined = 0
     pruned_sym = 0
     pruned_bound = 0
@@ -188,10 +224,25 @@ def _search_partition(n, offsets, kind, k, prefix):
             return False
         lo = g0 if g0 else 1
         hi = min(cap, n - 1 - pos - (k - count - 1))
+        if table is None or pos < steady:
+            for gap in range(lo, hi + 1):
+                ok, new_fin, m2 = place(pos, mask, fin, gap)
+                if ok and dfs(pos + gap, count + 1, m2, g0 or gap, new_fin):
+                    return True
+            return False
+        # steady state: fin == pos - dmax and g0 is set
+        base = ((mask >> (pos - steady)) & low) * stride
         for gap in range(lo, hi + 1):
-            ok, new_fin, m2 = place(pos, mask, fin, gap)
-            if ok and dfs(pos + gap, count + 1, m2, g0 or gap, new_fin):
-                return True
+            verdict = table[base + gap]
+            if not verdict:
+                verdict = _PASS if place(pos, mask, fin, gap)[0] else _PRUNE
+                table[base + gap] = verdict
+            elif verdict == _PRUNE:
+                pruned_bound += 1
+            if verdict == _PASS:
+                p = pos + gap
+                if dfs(p, count + 1, mask | (1 << p), g0, p - dmax):
+                    return True
         return False
 
     # replay the fixed prefix through the same pruning machinery
@@ -229,24 +280,26 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
     parts = _partitions(k, cap)
     stats = SearchStats()
     winner = None
+    pool = None
     if threads <= 1 or len(parts) <= 1:
-        for prefix in parts:
-            mask, st = _search_partition(n, g.offsets, kind, k, prefix)
+        results = (_search_partition(n, g.offsets, kind, k, p) for p in parts)
+    else:
+        pool = ProcessPoolExecutor(max_workers=threads)
+        futures = [pool.submit(_search_partition, n, g.offsets, kind, k, p) for p in parts]
+        results = (future.result() for future in futures)
+    try:
+        # partition order up to the first winner: the certificate and the
+        # counts are those of threads=1
+        for mask, st in results:
             stats = stats.merged(SearchStats(*st))
             if progress is not None:
                 progress(stats.examined, time.perf_counter() - t0)
             if mask is not None:
                 winner = mask
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            args = [(n, g.offsets, kind, k, p) for p in parts]
-            for mask, st in pool.map(_search_partition, *zip(*args)):
-                stats = stats.merged(SearchStats(*st))
-                if progress is not None:
-                    progress(stats.examined, time.perf_counter() - t0)
-                if mask is not None and winner is None:
-                    winner = mask  # partition order fixes the certificate
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     stats = SearchStats(stats.examined, stats.pruned_symmetry, stats.pruned_bound,
                         time.perf_counter() - t0)
     return (Code.from_mask(g, winner) if winner is not None else None), stats
@@ -283,7 +336,7 @@ def _best_construction(g: CirculantGraph, kind: Kind) -> Code | None:
             return constructions.locating_code_for(g.n)
         if kind is Kind.IDENTIFYING:
             return constructions.identifying_code_for(g.n)
-    except Exception:
+    except UnsupportedOrder:
         return None
     return None
 

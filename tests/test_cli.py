@@ -209,6 +209,32 @@ def test_search_env_budget(capsys, monkeypatch):
     assert code == 3
 
 
+def test_search_fixed_k_explicit_budget_exit_three(capsys):
+    code, out, err = run(capsys, "search", "-n", "41", "--kind", "identifying",
+                         "--k", "15", "--budget", "33")
+    assert code == 3
+    assert out == ""
+    assert "exceeds search budget 33" in err
+    code, out, _ = run(capsys, "search", "-n", "41", "--kind", "identifying",
+                       "--k", "15", "--budget", "33", "--json")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["outcome"]["exists"] is None
+    assert doc["outcome"]["code"] is None
+    assert "exceeds search budget 33" in doc["outcome"]["note"]
+
+
+def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys, monkeypatch):
+    monkeypatch.setenv("CIRCODES_BUDGET", "10")
+    code, out, _ = run(capsys, "search", "-n", "19", "--kind", "identifying",
+                       "--k", "7")
+    assert code == 1
+    assert "no identifying code" in out
+    code, out, _ = run(capsys, "search", "-n", "19", "--kind", "identifying",
+                       "--k", "8", "--budget", "19")
+    assert code == 0
+
+
 def test_search_json_stats(capsys):
     code, doc = run_json(capsys, "search", "-n", "10", "--kind", "identifying")
     assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from circodes import search
 from circodes import (
     BudgetExceeded,
     CirculantGraph,
@@ -16,6 +17,9 @@ from circodes import (
 
 def C(n, offsets=(1, 3)):
     return CirculantGraph(n, offsets)
+
+
+DOM, LOC, IDE = Kind.DOMINATING, Kind.LOCATING, Kind.IDENTIFYING
 
 
 # -- lower bounds -------------------------------------------------------------
@@ -188,3 +192,111 @@ def test_stats_populated():
     result = min_code_size(C(11), Kind.LOCATING)
     assert result.stats.examined > 0
     assert result.stats.wall_time >= 0
+
+
+def test_best_construction_propagates_other_errors(monkeypatch):
+    from circodes import constructions
+
+    def broken(n):
+        raise RuntimeError("broken table row")
+
+    monkeypatch.setattr(constructions, "identifying_code_for", broken)
+    with pytest.raises(RuntimeError, match="broken table row"):
+        min_code_size(C(60), Kind.IDENTIFYING)
+
+
+# -- pinned search counts -----------------------------------------------------------
+
+# (offsets, n, kind, k, examined, pruned_symmetry, pruned_bound, certificate)
+# at the optimum and one below it, as the search counted them before the
+# window-verdict table: the table must change neither counts nor answers.
+# dmax = 2..4 run through the table; dmax = 5 runs the pruning loop alone.
+# pruned_symmetry is live: nonzero on {1,4} and {2,5}.
+PINNED = [
+    ((1, 2), 18, DOM, 4, 62, 0, 49, (0, 3, 8, 13)),
+    ((1, 2), 18, DOM, 3, 15, 0, 15, None),
+    ((1, 2), 18, LOC, 6, 287, 0, 328, (0, 2, 6, 8, 12, 14)),
+    ((1, 2), 18, LOC, 5, 95, 0, 133, None),
+    ((1, 2), 18, IDE, 9, 698, 0, 1176, (0, 2, 4, 6, 8, 10, 12, 14, 16)),
+    ((1, 2), 18, IDE, 8, 355, 0, 758, None),
+    ((1, 3), 22, DOM, 5, 223, 0, 292, (0, 2, 7, 12, 17)),
+    ((1, 3), 22, DOM, 4, 67, 0, 109, None),
+    ((1, 3), 22, LOC, 8, 1036, 0, 1795, (0, 1, 2, 6, 11, 12, 13, 17)),
+    ((1, 3), 22, LOC, 7, 1285, 0, 2429, None),
+    ((1, 3), 22, IDE, 8, 2091, 0, 3523, (0, 1, 4, 5, 11, 12, 15, 16)),
+    ((1, 3), 22, IDE, 7, 1142, 0, 2189, None),
+    ((1, 4), 25, DOM, 6, 1200, 0, 2085, (0, 2, 7, 9, 16, 18)),
+    ((1, 4), 25, DOM, 5, 325, 0, 703, None),
+    ((1, 4), 25, LOC, 9, 2422, 0, 3960, (0, 1, 2, 3, 8, 10, 14, 16, 18)),
+    ((1, 4), 25, LOC, 8, 11605, 0, 18938, None),
+    ((1, 4), 25, IDE, 10, 1872, 0, 3317, (0, 1, 2, 3, 4, 9, 11, 15, 17, 19)),
+    ((1, 4), 25, IDE, 9, 24728, 7, 38349, None),
+    ((2, 5), 22, DOM, 6, 170, 0, 189, (0, 1, 2, 5, 13, 14)),
+    ((2, 5), 22, DOM, 5, 458, 0, 949, None),
+    ((2, 5), 22, LOC, 8, 248, 0, 215, (0, 1, 2, 3, 4, 10, 11, 14)),
+    ((2, 5), 22, LOC, 7, 4788, 3, 6525, None),
+    ((2, 5), 22, IDE, 8, 2289, 0, 3050, (0, 1, 2, 5, 11, 13, 16, 17)),
+    ((2, 5), 22, IDE, 7, 3791, 0, 6712, None),
+    ((1, 3), 26, DOM, 6, 708, 0, 908, (0, 1, 6, 11, 16, 21)),
+    ((1, 3), 26, DOM, 5, 253, 0, 374, None),
+    ((1, 3), 26, LOC, 10, 3544, 0, 6202, (0, 1, 2, 3, 8, 9, 14, 15, 20, 21)),
+    ((1, 3), 26, LOC, 9, 13132, 0, 21919, None),
+    ((1, 3), 26, IDE, 10, 3277, 0, 5854, (0, 1, 2, 3, 8, 11, 12, 17, 18, 21)),
+    ((1, 3), 26, IDE, 9, 11270, 0, 19825, None),
+]
+
+
+def _counts(g, kind, k, threads=1):
+    code, stats = search._search_at_size(g, kind, k, threads=threads)
+    members = None if code is None else tuple(sorted(code.members))
+    return stats.examined, stats.pruned_symmetry, stats.pruned_bound, members
+
+
+@pytest.mark.parametrize("offsets, n, kind, k, examined, sym, bound, cert", PINNED)
+def test_pinned_search_counts(offsets, n, kind, k, examined, sym, bound, cert):
+    assert _counts(C(n, offsets), kind, k) == (examined, sym, bound, cert)
+
+
+def test_window_table_cold_and_warm_agree():
+    g = C(26)
+    search._WINDOW_TABLES.clear()
+    cold = _counts(g, Kind.IDENTIFYING, 9), _counts(g, Kind.IDENTIFYING, 10)
+    table = search._WINDOW_TABLES[((1, 3), Kind.IDENTIFYING)]
+    assert len(table) == 16 * 1024
+    assert any(table)
+    warm = _counts(g, Kind.IDENTIFYING, 9), _counts(g, Kind.IDENTIFYING, 10)
+    assert cold == warm
+
+
+def test_window_table_matches_pruning_loop(monkeypatch):
+    questions = [((1,), 12), ((1, 2), 17), ((2, 3), 19), ((1, 2, 4), 21),
+                 ((1, 3), 24), ((3, 4), 23)]
+    with_table = [_counts(C(n, offsets), kind, k)
+                  for offsets, n in questions for kind in Kind
+                  for k in range(2, n // 2)]
+    monkeypatch.setattr(search, "WINDOW_TABLE_MAX_DMAX", 0)
+    loop_only = [_counts(C(n, offsets), kind, k)
+                 for offsets, n in questions for kind in Kind
+                 for k in range(2, n // 2)]
+    assert with_table == loop_only
+
+
+def test_no_window_table_beyond_dmax_four():
+    assert search._window_table((1, 4), Kind.LOCATING) is not None
+    assert search._window_table((1, 5), Kind.LOCATING) is None
+
+
+def test_dmax_five_matches_naive_oracle():
+    for n in range(11, 15):
+        g = C(n, (1, 5))
+        for kind in Kind:
+            fast = min_code_size(g, kind)
+            assert fast.outcome.size == naive_min_code_size(g, kind).outcome.size, (n, kind)
+            assert fast.outcome.certificate.verify(kind).ok
+
+
+@pytest.mark.parametrize("kind, k", [(Kind.IDENTIFYING, 8), (Kind.IDENTIFYING, 7),
+                                     (Kind.LOCATING, 8), (Kind.LOCATING, 7)])
+def test_parallel_counts_equal_serial(kind, k):
+    g = C(22)
+    assert _counts(g, kind, k, threads=2) == _counts(g, kind, k, threads=1)
