@@ -19,9 +19,6 @@ def C(n, offsets=(1, 3)):
     return CirculantGraph(n, offsets)
 
 
-DOM, LOC, IDE = Kind.DOMINATING, Kind.LOCATING, Kind.IDENTIFYING
-
-
 # -- lower bounds -------------------------------------------------------------
 
 def test_lower_bound_locating():
@@ -212,6 +209,7 @@ def test_best_construction_propagates_other_errors(monkeypatch):
 # window-verdict table: the table must change neither counts nor answers.
 # dmax = 2..4 run through the table; dmax = 5 runs the pruning loop alone.
 # pruned_symmetry is live: nonzero on {1,4} and {2,5}.
+DOM, LOC, IDE = Kind.DOMINATING, Kind.LOCATING, Kind.IDENTIFYING
 PINNED = [
     ((1, 2), 18, DOM, 4, 62, 0, 49, (0, 3, 8, 13)),
     ((1, 2), 18, DOM, 3, 15, 0, 15, None),
