@@ -85,8 +85,8 @@ class CirculantGraph:
     def _closed_masks(self) -> tuple[int, ...]:
         """Closed-neighbourhood bitmask of every vertex: O(n^2) bits.
 
-        For the exhaustive search and the naive oracle, which run at small
-        n only; built on first access and kept.
+        For the exhaustive search's pruning loop, which runs at small n
+        only; built on first access and kept.
         """
         masks = self._masks
         if masks is None:

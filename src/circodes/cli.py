@@ -393,6 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

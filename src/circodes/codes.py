@@ -7,9 +7,9 @@ nonempty, a locating code when additionally the shadows of vertices
 outside S are pairwise distinct, and an identifying code when the shadows
 of *all* vertices are pairwise distinct.
 
-``Code.verify`` checks a whole code at once on its n-bit mask, with no
-loop over vertices.  Rotating the mask down by q gives the vertices u
-with u + q in S, so:
+Every whole-code check reads one kernel, ``defects``, on the code's n-bit
+mask, with no loop over vertices.  Rotating the mask down by q gives the
+vertices u with u + q in S, so:
 
 * u is undominated iff no rotation of the mask by an element of P has
   bit u;
@@ -18,26 +18,24 @@ with u + q in S, so:
 
 Equal nonempty shadows share a member, so only d <= 2*dmax can collide.
 Each check is a few dozen shifts and ORs of n-bit integers: linear in n.
+``Code.verify`` picks its witness from the kernel's bits, the exhaustive
+search asks it whether a leaf is valid, and ``verify_periodic`` runs it on
+a finite lift of the periodic code.
 
 Shares are exact rationals (`fractions.Fraction`): the thresholds used by
 the heavy-vertex classifiers (3 and 11/4) must be compared exactly.  The
 shadow sizes behind them come from one sum of rotated membership digits,
 computed once per code.
-
-``valid_mask`` is the exhaustive search's leaf check on precomputed
-per-vertex masks; at the small n the search reaches it is faster than
-the whole-code kernel, and the test suite holds the two to the same
-verdicts.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .circulant import CirculantGraph, mask_of, set_of
 from .errors import NotInCode, ShareUndefined
@@ -52,7 +50,7 @@ __all__ = [
     "LOCATING_HEAVY_PROFILES",
     "IDENTIFYING_HEAVY_PROFILES",
     "heavy_profile_violations",
-    "valid_mask",
+    "defects",
 ]
 
 
@@ -220,46 +218,20 @@ class Code:
 
     def verify(self, kind: Kind) -> VerificationResult:
         """Check the code property, returning a witness on failure."""
-        g = self.graph
-        n = g.n
-        mask = self.mask
-        full = (1 << n) - 1
-        rotations: dict[int, int] = {}
-
-        def seen_from(q: int) -> int:
-            """Bit u set iff u + q (mod n) is a member."""
-            q %= n
-            r = rotations.get(q)
-            if r is None:
-                r = rotations[q] = ((mask >> q) | (mask << (n - q))) & full
-            return r
-
-        pattern = {p % n for p in g.pattern}
-        dominated = 0
-        for p in pattern:
-            dominated |= seen_from(p)
-        if dominated != full:
-            return VerificationResult(Status.NOT_DOMINATING, _lowest_bit(full & ~dominated))
-        if kind is Kind.DOMINATING:
-            return VerificationResult(Status.VALID)
-
+        n = self.graph.n
         pairs = []  # the smallest colliding pair for each d and side of the wrap
-        for d in range(1, min(2 * g.offsets[-1], n - 1) + 1):
-            differ = 0
-            for q in pattern.symmetric_difference({(p + d) % n for p in pattern}):
-                differ |= seen_from(q)
-            equal = full & ~differ  # bit u: shadow(u) == shadow(u + d mod n)
-            if kind is Kind.LOCATING:
-                equal &= ~(mask | seen_from(d))
+        for d, bits in defects(n, self.mask, self.graph.pattern, kind):
+            if not d:
+                return VerificationResult(Status.NOT_DOMINATING, _lowest_bit(bits))
             # u < n - d gives the pair (u, u + d); a wrapping u = i + n - d
             # gives (i, i + n - d).  Both grow with u, so each side's lowest
             # set bit names its smallest pair.
             split = n - d
-            head = equal & ((1 << split) - 1)
+            head = bits & ((1 << split) - 1)
             if head:
                 u = _lowest_bit(head)
                 pairs.append((u, u + d))
-            tail = equal >> split
+            tail = bits >> split
             if tail:
                 i = _lowest_bit(tail)
                 pairs.append((i, i + split))
@@ -281,32 +253,47 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def valid_mask(n: int, mask: int, nbhd, reach: int, kind: Kind) -> bool:
-    """Boolean-only verifier on raw bitmasks, for search inner loops.
+@lru_cache(maxsize=64)
+def _probes(n: int, pattern: tuple[int, ...]):
+    """The rotations ``defects`` ORs, all in 0..n-1.
 
-    ``nbhd`` is the tuple of closed-neighbourhood masks and ``reach`` the
-    collision window 2*dmax.  Semantics match Code.verify exactly.
+    P itself, then for each d <= 2*dmax the symmetric difference of P and P + d.
     """
-    for u in range(n):
-        if mask & nbhd[u] == 0:
-            return False
+    base = {p % n for p in pattern}
+    return tuple(base), tuple(
+        (d, tuple(base.symmetric_difference({(p + d) % n for p in base})))
+        for d in range(1, min(2 * max(pattern), n - 1) + 1))
+
+
+def defects(n: int, mask: int, pattern: tuple[int, ...],
+            kind: Kind) -> Iterator[tuple[int, int]]:
+    """The constraints that the code ``mask`` on Z_n with closed pattern P breaks.
+
+    Yields ``(0, undominated)`` and stops if some shadow is empty.  Otherwise,
+    for locating and identifying codes, yields ``(d, equal)`` for each
+    d <= 2*dmax where bit u of ``equal`` marks u and u + d (mod n) with equal
+    shadows (for locating codes, only pairs outside the code).  A valid
+    code yields nothing.
+    """
+    dominate, collide = _probes(n, pattern)
+    full = (1 << n) - 1
+    doubled = mask | mask << n  # bit u of doubled >> q is member u + q mod n
+    seen = 0
+    for q in dominate:
+        seen |= doubled >> q
+    if seen & full != full:
+        yield 0, full & ~seen
+        return
     if kind is Kind.DOMINATING:
-        return True
-    reach = min(reach, n - 1)
-    skip_code = kind is Kind.LOCATING
-    for u in range(n):
-        if skip_code and (mask >> u) & 1:
-            continue
-        su = mask & nbhd[u]
-        for d in range(1, reach + 1):
-            v = u + d
-            if v >= n:
-                v -= n
-            if skip_code and (mask >> v) & 1:
-                continue
-            if su == mask & nbhd[v]:
-                return False
-    return True
+        return
+    locating = kind is Kind.LOCATING
+    for d, probe in collide:
+        # a locating code exempts the pair when u or u + d is a member
+        seen = mask | doubled >> d if locating else 0
+        for q in probe:
+            seen |= doubled >> q
+        if seen & full != full:
+            yield d, full & ~seen
 
 
 def heavy_profile_violations(code: Code, kind: Kind) -> list[tuple[int, tuple[int, ...]]]:

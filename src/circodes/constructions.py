@@ -7,8 +7,9 @@ blocks with a residue-dependent tail patch so that every order in range
 gets a verified code of the smallest size this library knows how to build.
 
 Periodic codes on the infinite graph (vertex set Z, offsets {1,3}) are
-modeled by ``PeriodicCode``; the window check in ``verify_periodic`` is
-exact because shadows only reach three steps in either direction.
+modeled by ``PeriodicCode``.  ``verify_periodic`` runs the whole-code kernel
+``codes.defects`` on a finite cycle that the periodic code tiles, long
+enough that no constraint wraps around it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circulant import CirculantGraph
-from .codes import Code, Kind, Status, VerificationResult
+from .circulant import CirculantGraph, mask_of
+from .codes import _FAIL_STATUS, Code, Kind, Status, VerificationResult, _lowest_bit, defects
 from .errors import UnsupportedOrder
 
 __all__ = [
@@ -114,31 +115,28 @@ def density(p: PeriodicCode) -> Fraction:
     return Fraction(len(p.residues), p.period)
 
 
-def _infinite_shadow(p: PeriodicCode, x: int) -> frozenset[int]:
-    return frozenset(y for y in (x - 3, x - 1, x, x + 1, x + 3) if y in p)
-
-
 def verify_periodic(p: PeriodicCode, kind: Kind) -> VerificationResult:
     """Check a periodic set as a code of the infinite circulant with offsets {1,3}.
 
-    Shadows sit inside [x-3, x+3], so one period of anchor vertices compared
-    against partners up to six steps away covers every constraint exactly.
-    Witnesses are plain integers (vertices of the infinite graph).
+    Two compared shadows span at most 4*dmax + 1 = 13 consecutive vertices.
+    On the lift to C(N;1,3), N the first multiple of the period that is at
+    least period + 12, those vertices stay distinct, so the lift breaks a
+    constraint at u exactly where the infinite graph does.  Witnesses are
+    plain integers (vertices of the infinite graph) with the smallest
+    first vertex, which lies below the period.
     """
-    fail = Status.NOT_LOCATING if kind is Kind.LOCATING else Status.NOT_IDENTIFYING
-    for u in range(p.period):
-        if not _infinite_shadow(p, u):
+    lift = CirculantGraph(-(-(p.period + 12) // p.period) * p.period)
+    # the residue block repeated N / period times
+    mask = mask_of(p.residues) * ((1 << lift.n) - 1) // ((1 << p.period) - 1)
+    pairs = []
+    for d, bits in defects(lift.n, mask, lift.pattern, kind):
+        u = _lowest_bit(bits)
+        if not d:
             return VerificationResult(Status.NOT_DOMINATING, u)
-    if kind is Kind.DOMINATING:
-        return VerificationResult(Status.VALID, None)
-    for u in range(p.period):
-        su = _infinite_shadow(p, u)
-        for v in range(u + 1, u + 7):
-            if kind is Kind.LOCATING and (u in p or v in p):
-                continue
-            if su == _infinite_shadow(p, v):
-                return VerificationResult(fail, (u, v))
-    return VerificationResult(Status.VALID, None)
+        pairs.append((u, u + d))
+    if pairs:
+        return VerificationResult(_FAIL_STATUS[kind], min(pairs))
+    return VerificationResult(Status.VALID)
 
 
 def _blocks(period: int, pattern: tuple[int, ...], count: int) -> list[int]:

@@ -40,7 +40,7 @@ from itertools import combinations
 from concurrent.futures import ProcessPoolExecutor
 
 from .circulant import CirculantGraph
-from .codes import Code, Kind, valid_mask
+from .codes import Code, Kind, defects
 from .errors import BudgetExceeded, OracleTooLarge, UnsupportedOrder
 
 __all__ = [
@@ -165,6 +165,7 @@ def _search_partition(n, offsets, kind, k, prefix):
     """
     g = CirculantGraph(n, offsets)
     nb = g._closed_masks
+    pattern = g.pattern
     dmax = g.offsets[-1]
     cap = 2 * dmax + 1
     pair_reach = 2 * dmax
@@ -218,7 +219,7 @@ def _search_partition(n, offsets, kind, k, prefix):
             if wrap > cap:
                 pruned_bound += 1
                 return False
-            if valid_mask(n, mask, nb, min(pair_reach, n - 1), kind):
+            if next(defects(n, mask, pattern, kind), None) is None:
                 found.append(mask)
                 return True
             return False
@@ -269,6 +270,11 @@ def _partitions(k: int, cap: int):
     return [(g0, g1) for g0 in range(1, cap + 1) for g1 in range(g0, cap + 1)]
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+
+
 def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
                     progress=None) -> tuple[Code | None, SearchStats]:
     n = g.n
@@ -284,7 +290,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
     if threads <= 1 or len(parts) <= 1:
         results = (_search_partition(n, g.offsets, kind, k, p) for p in parts)
     else:
-        pool = ProcessPoolExecutor(max_workers=threads)
+        pool = ProcessPoolExecutor(max_workers=min(threads, len(parts)))
         futures = [pool.submit(_search_partition, n, g.offsets, kind, k, p) for p in parts]
         results = (future.result() for future in futures)
     try:
@@ -314,6 +320,7 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
+    _check_threads(threads)
     code, _ = _search_at_size(g, kind, k, threads=threads, progress=progress)
     return code
 
@@ -350,6 +357,7 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     carries the lower bound and, when a table construction applies, its code
     as an unproved upper bound.
     """
+    _check_threads(threads)
     limit = resolve_budget(kind, budget)
     report = lower_bound(g.n, kind, g.offsets)
     if g.n > limit:
@@ -384,8 +392,6 @@ def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
     if g.n > NAIVE_LIMIT:
         raise OracleTooLarge(f"naive enumeration capped at n={NAIVE_LIMIT}, got {g.n}")
     n = g.n
-    nb = g._closed_masks
-    reach = min(2 * g.offsets[-1], n - 1)
     t0 = time.perf_counter()
     examined = 0
     for k in range(1, n + 1):
@@ -394,7 +400,7 @@ def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
             mask = 0
             for v in members:
                 mask |= 1 << v
-            if valid_mask(n, mask, nb, reach, kind):
+            if next(defects(n, mask, g.pattern, kind), None) is None:
                 stats = SearchStats(examined, 0, 0, time.perf_counter() - t0)
                 return SearchResult(kind, n, Optimum(k, Code(g, members)), stats)
     raise AssertionError("unreachable: the full vertex set is always valid")

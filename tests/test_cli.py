@@ -235,6 +235,20 @@ def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys, monkeypatch)
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "-n", "13", "--kind", "locating"),
+    ("search", "-n", "13", "--kind", "locating", "--k", "5"),
+    ("search", "-n", "41", "--kind", "locating", "--k", "14", "--budget", "33"),
+    ("table", "--kind", "locating", "--from", "40", "--to", "41"),
+])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exit_two(capsys, argv, threads):
+    code, out, err = run(capsys, *argv, "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "--threads must be at least 1" in err
+
+
 def test_search_json_stats(capsys):
     code, doc = run_json(capsys, "search", "-n", "10", "--kind", "identifying")
     assert code == 0

@@ -13,7 +13,7 @@ from circodes import (
     heavy_profile_violations,
     locating_code_for,
 )
-from circodes.codes import valid_mask
+from circodes.codes import defects
 
 
 def C(n):
@@ -230,13 +230,38 @@ def test_member_validation():
         Code(C(9), {0, 9})
 
 
-def test_valid_mask_agrees_with_verify():
+def test_leaf_predicate_agrees_with_verify():
+    # the exhaustive search accepts a leaf when defects yields nothing
     g = C(13)
-    nbhd = g._closed_masks
     for members in [{0, 1, 6, 7, 10}, {0, 1, 2}, {0, 4, 8}, set(range(13))]:
         code = Code(g, members)
         for kind in Kind:
-            assert valid_mask(13, code.mask, nbhd, 6, kind) == code.verify(kind).ok
+            leaf_ok = next(defects(13, code.mask, g.pattern, kind), None) is None
+            assert leaf_ok == code.verify(kind).ok
+
+
+def test_defects_stops_at_undominated_vertices():
+    # N[0] = {0, 1, 3, 10, 12}: every other vertex has an empty shadow
+    undominated = sum(1 << u for u in range(13) if u not in {0, 1, 3, 10, 12})
+    for kind in Kind:
+        assert list(defects(13, 1, C(13).pattern, kind)) == [(0, undominated)]
+
+
+def test_defects_marks_every_colliding_pair():
+    for n, members in [(11, {0, 4, 5, 6}), (13, {0, 1, 6, 7, 10}), (14, {0, 1, 2, 7, 8, 9})]:
+        g = C(n)
+        code = Code(g, members)
+        assert code.is_dominating()
+        for kind in (Kind.LOCATING, Kind.IDENTIFYING):
+            expected = []
+            for d in range(1, 7):
+                bits = sum(1 << u for u in range(n)
+                           if code.shadow(u) == code.shadow((u + d) % n)
+                           and (kind is Kind.IDENTIFYING or not {u, (u + d) % n} & members))
+                if bits:
+                    expected.append((d, bits))
+            assert list(defects(n, code.mask, g.pattern, kind)) == expected
+            assert bool(expected) != code.verify(kind).ok
 
 
 def test_shadow_sizes_wider_than_one_byte():

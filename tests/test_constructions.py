@@ -10,6 +10,7 @@ from circodes import (
     PERIODIC_IDENTIFYING_CODE,
     PERIODIC_LOCATING_CODE,
     PeriodicCode,
+    Status,
     UnsupportedOrder,
     construct_A,
     construct_B,
@@ -220,6 +221,39 @@ def test_verify_periodic_sparse_patterns_fail():
 def test_verify_periodic_witness_is_concrete():
     result = verify_periodic(PeriodicCode(4, [0]), Kind.LOCATING)
     assert result.witness is not None
+
+
+def periodic_reference(p, kind):
+    """Status and witness from the definition, comparing shadows on a window of Z.
+
+    By periodicity every constraint has a copy whose smaller vertex u lies
+    below the period.  Each such u is compared with every v > u in the
+    window; the witness is the pair with the smallest u, then the smallest v.
+    """
+    shadow = [frozenset(y for y in (x - 3, x - 1, x, x + 1, x + 3) if y in p)
+              for x in range(2 * p.period + 20)]
+    for u in range(p.period):
+        if not shadow[u]:
+            return Status.NOT_DOMINATING, u
+    if kind is Kind.DOMINATING:
+        return Status.VALID, None
+    for u in range(p.period):
+        for v in range(u + 1, len(shadow)):
+            if kind is Kind.LOCATING and (u in p or v in p):
+                continue
+            if shadow[u] == shadow[v]:
+                fail = Status.NOT_LOCATING if kind is Kind.LOCATING else Status.NOT_IDENTIFYING
+                return fail, (u, v)
+    return Status.VALID, None
+
+
+def test_verify_periodic_matches_reference():
+    for period in range(1, 11):
+        for chosen in range(1 << period):
+            p = PeriodicCode(period, [r for r in range(period) if chosen >> r & 1])
+            for kind in Kind:
+                result = verify_periodic(p, kind)
+                assert (result.status, result.witness) == periodic_reference(p, kind), (p, kind)
 
 
 def test_periodic_agrees_with_finite_beyond_validity_floor():

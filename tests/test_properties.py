@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from circodes import CirculantGraph, Code, Kind, Status
-from circodes.codes import valid_mask
+from circodes.codes import defects
 
 settings.register_profile("default", deadline=None, max_examples=150)
 settings.load_profile("default")
@@ -151,7 +151,8 @@ def test_verifier_matches_all_pairs_reference(gc):
         status, witness = reference_verify(n, g.offsets, members, kind)
         result = code.verify(kind)
         assert (result.status, result.witness) == (status, witness)
-        assert valid_mask(n, code.mask, g._closed_masks, 2 * g.offsets[-1], kind) == \
+        # the search's leaf predicate
+        assert (next(defects(n, code.mask, g.pattern, kind), None) is None) == \
                (status is Status.VALID)
     for u in range(n):
         nbhd = g.closed_neighborhood(u)

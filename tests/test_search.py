@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import pytest
 
 from circodes import search
@@ -298,3 +300,44 @@ def test_dmax_five_matches_naive_oracle():
 def test_parallel_counts_equal_serial(kind, k):
     g = C(22)
     assert _counts(g, kind, k, threads=2) == _counts(g, kind, k, threads=1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs tasks inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_pool_capped_at_partition_count(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    g = C(22)
+    assert _counts(g, Kind.LOCATING, 7, threads=1000) == _counts(g, Kind.LOCATING, 7)
+    assert exists_code_of_size(g, Kind.LOCATING, 8, threads=3) is not None
+    # {1,3} splits into 28 partitions by the first two gaps
+    assert _RecordingPool.sizes == [28, 3]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(monkeypatch, threads):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        exists_code_of_size(C(13), Kind.LOCATING, 5, threads=threads)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        min_code_size(C(13), Kind.LOCATING, threads=threads)
+    # rejected before the budget check, too
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        min_code_size(C(40), Kind.LOCATING, threads=threads)
+    assert _RecordingPool.sizes == []
