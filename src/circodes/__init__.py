@@ -3,7 +3,10 @@
 The package builds circulant graphs C(n; d1,...,dk), verifies dominating,
 locating, and identifying codes with concrete witnesses, evaluates exact
 rational shares, constructs tight periodic code families for C(n;1,3),
-and runs exhaustive symmetry-reduced searches for exact optima.
+and runs exhaustive symmetry-reduced searches for exact optima.  Locating
+and identifying optima of C(n;1,3), n >= 13, are read from stored
+transfer-matrix proofs (``circodes.proofs``); the solver that computes
+them, ``circodes.transfer``, is not imported here.
 """
 
 from .circulant import CirculantGraph

@@ -1,9 +1,10 @@
-"""Command-line interface: verify, construct, search, table, density.
+"""Command-line interface: verify, construct, search, table, density, prove.
 
 Every command prints a human-readable report by default and a canonical
 JSON document (schema "v1") with --json.  Exit codes are scriptable:
-0 success/valid, 1 property does not hold, 2 usage error, 3 search budget
-exceeded.
+0 success/valid, 1 property does not hold (or no code exists, or a
+recomputed proof differs from the stored one), 2 usage error, 3 search
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .circulant import CirculantGraph
 from .codes import Code, Kind
@@ -28,7 +30,9 @@ from .constructions import (
     verify_periodic,
 )
 from .errors import BudgetExceeded, CircodesError, UnsupportedOrder
-from .search import exists_code_of_size, lower_bound, min_code_size, resolve_budget
+from .proofs import PROOFS
+from .search import (exists_code_of_size, lower_bound, min_code_size, proved_minimum,
+                     resolve_budget)
 
 SCHEMA_VERSION = "v1"
 
@@ -37,7 +41,10 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-DENSITY_FLOORS = {Kind.LOCATING: Fraction(1, 3), Kind.IDENTIFYING: Fraction(4, 11)}
+# The least density of a code on the infinite graph with offsets {1,3}, from
+# the stored proofs: 1/3 locating, 4/11 identifying.
+DENSITY_FLOORS = {kind: proof.density for (offsets, kind), proof in PROOFS.items()
+                  if offsets == (1, 3)}
 
 
 class UsageError(Exception):
@@ -194,10 +201,14 @@ def cmd_search(args) -> int:
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget, "threads": args.threads, "seed": None}
     if args.k is not None:
-        # --k runs unbudgeted unless --budget is given explicitly
-        if args.budget is not None and args.n > args.budget:
+        # below a proved minimum the proof answers; the search runs unbudgeted
+        # unless --budget is given explicitly
+        floor = proved_minimum(g, kind)
+        engine = "proof" if floor is not None and args.k < floor else "dfs"
+        if engine == "dfs" and args.budget is not None and args.n > args.budget:
             note = f"order {args.n} exceeds search budget {args.budget}"
-            outcome = {"exists": None, "size": args.k, "code": None, "note": note}
+            outcome = {"exists": None, "size": args.k, "code": None, "note": note,
+                       "engine": engine, "proved": False}
             if args.json:
                 _emit(_manifest("search", params, outcome, t0), True, [])
             else:
@@ -211,30 +222,25 @@ def cmd_search(args) -> int:
                      f"{args.k}: {sorted(code.members)}"]
         else:
             outcome = {"exists": False, "size": args.k, "code": None}
+            how = f"proved minimum {floor}" if engine == "proof" else "exhaustive"
             lines = [f"C({args.n};{args.offsets}) has no {kind.value} code of size "
-                     f"{args.k} (exhaustive)"]
+                     f"{args.k} ({how})"]
+        outcome.update(engine=engine, proved=True)
         _emit(_manifest("search", params, outcome, t0), args.json, lines)
         return EXIT_OK if code is not None else EXIT_INVALID
     try:
         result = min_code_size(g, kind, budget=args.budget, threads=args.threads,
                                progress=progress)
     except BudgetExceeded as exc:
-        partial = exc.partial
-        outcome = {"optimum": None, "note": str(exc)}
-        if partial is not None and partial.outcome is not None \
-                and hasattr(partial.outcome, "certificate"):
-            outcome["best_known"] = {
-                "size": partial.outcome.size,
-                "code": sorted(partial.outcome.certificate.members),
-            }
+        outcome = {"optimum": None, "note": str(exc), "engine": "dfs", "proved": False}
         _emit(_manifest("search", params, outcome, t0), args.json,
               [f"budget exceeded: {exc}"])
         return EXIT_BUDGET
     opt = result.outcome
     bounds = lower_bound(args.n, kind, tuple(sorted(offsets)))
     outcome = {
-        "optimum": opt.size,
-        "code": sorted(opt.certificate.members),
+        "optimum": opt.size if opt is not None else None,
+        "code": sorted(opt.certificate.members) if opt is not None else None,
         "lower_bound": bounds.effective,
         "stats": {
             "examined": result.stats.examined,
@@ -242,11 +248,22 @@ def cmd_search(args) -> int:
             "pruned_bound": result.stats.pruned_bound,
             "wall_time": round(result.stats.wall_time, 6),
         },
+        "engine": result.engine,
+        "proved": result.proved,
     }
+    if opt is None:
+        outcome["note"] = result.note
+        _emit(_manifest("search", params, outcome, t0), args.json,
+              [f"C({args.n};{args.offsets}): {result.note}"])
+        return EXIT_INVALID
     lines = [f"minimum {kind.value} code of C({args.n};{args.offsets}): size {opt.size}",
-             f"certificate: {sorted(opt.certificate.members)}",
-             f"examined {result.stats.examined} candidates in "
-             f"{result.stats.wall_time:.2f}s"]
+             f"certificate: {sorted(opt.certificate.members)}"]
+    if result.engine == "proof":
+        lines.append("optimal by the stored transfer-matrix proof; "
+                     "certificate checked by Code.verify")
+    else:
+        lines.append(f"examined {result.stats.examined} candidates in "
+                     f"{result.stats.wall_time:.2f}s")
     _emit(_manifest("search", params, outcome, t0), args.json, lines)
     return EXIT_OK
 
@@ -268,24 +285,27 @@ def cmd_table(args) -> int:
             construction = size_fn(n)
         except UnsupportedOrder:
             construction = None
-        optimum = None
-        if n <= budget:
-            g = CirculantGraph(n)
-            result = min_code_size(g, kind, budget=budget, threads=args.threads)
-            optimum = result.outcome.size
+        # the budget bounds the search only; proved orders need none
+        try:
+            result = min_code_size(CirculantGraph(n), kind, budget=budget,
+                                   threads=args.threads)
+            optimum, engine = result.outcome.size, result.engine
+        except BudgetExceeded:
+            optimum = engine = None
         match = ""
         if optimum is not None and construction is not None:
             match = "=" if optimum == construction else "<"
         rows.append({"n": n, "lower_bound": bounds.effective,
                      "construction": construction, "optimum": optimum,
-                     "match": match})
+                     "match": match, "engine": engine})
     params = {"n": None, "offsets": [1, 3], "kind": kind.value, "k": None,
               "budget": budget, "threads": args.threads, "seed": None,
               "range": [args.n_from, args.n_to]}
     if args.csv:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["n", "lower_bound", "construction",
-                                                 "optimum", "match"])
+                                                 "optimum", "match"],
+                                extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
         print(buf.getvalue(), end="")
@@ -328,6 +348,43 @@ def cmd_density(args) -> int:
               "period": args.period, "residues": sorted(set(residues))}
     _emit(_manifest("density", params, outcome, t0), args.json, lines)
     return EXIT_OK if result.ok else EXIT_INVALID
+
+
+def cmd_prove(args) -> int:
+    t0 = time.perf_counter()
+    kind = _parse_kind(args.kind)
+    offsets = tuple(sorted(_parse_ints(args.offsets, "offsets")))
+    from . import transfer  # the solver loads only here
+    if not offsets or offsets[-1] > transfer.MAX_DMAX:
+        raise UsageError(f"prove needs offsets with a largest offset of at most "
+                         f"{transfer.MAX_DMAX}, got {list(offsets)}")
+    proof = transfer.solve(offsets, kind)
+    stored = PROOFS.get((offsets, kind))
+    matches = None if stored is None else proof == stored
+    last = proof.first + len(proof.minima) - 1
+    outcome = {
+        "live_states": proof.live_states,
+        "onset": proof.onset,
+        "period": proof.period,
+        "increment": proof.increment,
+        "density": _fraction_str(proof.density),
+        "first": proof.first,
+        "minima": list(proof.minima),
+        "matches_stored": matches,
+    }
+    label = ",".join(map(str, offsets))
+    lines = [f"C(n;{label}) {kind.value} codes, n >= {proof.first}: "
+             f"{proof.live_states} live states",
+             f"D(m + {proof.period}) = D(m) + {proof.increment} for m >= {proof.onset}; "
+             f"density {_fraction_str(proof.density)}",
+             f"minimum for n = {proof.first}..{last}: "
+             + " ".join("-" if m is None else str(m) for m in proof.minima),
+             {None: "no stored proof", True: "matches the stored proof",
+              False: "DIFFERS from the stored proof"}[matches]]
+    params = {"n": None, "offsets": list(offsets), "kind": kind.value, "k": None,
+              "budget": None, "threads": None, "seed": None}
+    _emit(_manifest("prove", params, outcome, t0), args.json, lines)
+    return EXIT_INVALID if matches is False else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,12 +443,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_density)
+
+    p = sub.add_parser("prove", help="recompute the transfer-matrix proof of the optima")
+    p.add_argument("--kind", required=True)
+    p.add_argument("--offsets", default="1,3", help="largest offset at most 3")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_prove)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and only read afterwards.
+
+    Building it takes longer than a short command such as `construct`, so
+    repeated in-process calls to main reuse it.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise UsageError(f"--threads must be at least 1, got {args.threads}")

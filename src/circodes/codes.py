@@ -265,8 +265,8 @@ def _probes(n: int, pattern: tuple[int, ...]):
         for d in range(1, min(2 * max(pattern), n - 1) + 1))
 
 
-def defects(n: int, mask: int, pattern: tuple[int, ...],
-            kind: Kind) -> Iterator[tuple[int, int]]:
+def defects(n: int, mask: int, pattern: tuple[int, ...], kind: Kind,
+            anchors: int | None = None) -> Iterator[tuple[int, int]]:
     """The constraints that the code ``mask`` on Z_n with closed pattern P breaks.
 
     Yields ``(0, undominated)`` and stops if some shadow is empty.  Otherwise,
@@ -274,9 +274,14 @@ def defects(n: int, mask: int, pattern: tuple[int, ...],
     d <= 2*dmax where bit u of ``equal`` marks u and u + d (mod n) with equal
     shadows (for locating codes, only pairs outside the code).  A valid
     code yields nothing.
+
+    ``anchors``, a mask of vertices, restricts the checks to those u: the
+    shadow of u and its pairs (u, u + d).  Such a check reads only the bits
+    u - dmax .. u + 3*dmax, so on n = 4*dmax + 1 with the single anchor dmax
+    it is the check of one window of a longer cycle.
     """
     dominate, collide = _probes(n, pattern)
-    full = (1 << n) - 1
+    full = (1 << n) - 1 if anchors is None else anchors
     doubled = mask | mask << n  # bit u of doubled >> q is member u + q mod n
     seen = 0
     for q in dominate:

@@ -4,7 +4,8 @@ Finite constructions come in two layers.  ``construct_A``/``construct_B``
 build the pure block codes on C(6t;1,3) and C(11t;1,3).  The per-order
 functions ``locating_code_for`` and ``identifying_code_for`` extend the
 blocks with a residue-dependent tail patch so that every order in range
-gets a verified code of the smallest size this library knows how to build.
+gets a verified code; for n >= 13 its size is the minimum that the stored
+transfer-matrix proofs (``proofs``) give.
 
 Periodic codes on the infinite graph (vertex set Z, offsets {1,3}) are
 modeled by ``PeriodicCode``.  ``verify_periodic`` runs the whole-code kernel
@@ -171,9 +172,11 @@ def construct_B(t: int) -> Code:
 def locating_code_size(n: int) -> int:
     """Size of the code locating_code_for(n) returns.
 
-    ceil(n/3), plus one when n is 2, 3, or 5 mod 6.  For every order where
-    exhaustive search has been run, this equals the true minimum; in
-    particular no code of size ceil(n/3) exists for n = 15, 21, 27, 33.
+    ceil(n/3), plus one when n is 2, 3, or 5 mod 6.  This is the exact
+    minimum for every n >= 13: the stored transfer-matrix proof
+    (``proofs``, recomputed by ``circodes prove``) gives the same minimum
+    for every such n.  In particular no code of size ceil(n/3) exists when
+    n is 2, 3, or 5 mod 6.
     """
     if n < 13:
         raise UnsupportedOrder(f"no general locating construction for n={n} < 13")
@@ -184,8 +187,9 @@ def identifying_code_size(n: int) -> int:
     """Size of the code identifying_code_for(n) returns.
 
     ceil(4n/11) in most residue classes.  One more in class 8 (mod 11), and
-    in classes 2 and 5 (mod 11) past their last thin orders (35 and 27): at
-    n = 38 and n = 46 exhaustive search shows the thin size is impossible.
+    in classes 2 and 5 (mod 11) past their last thin orders (35 and 27).
+    This is the exact minimum for every n >= 13, by the stored
+    transfer-matrix proof (``proofs``, recomputed by ``circodes prove``).
     """
     if n < 11:
         raise UnsupportedOrder(f"no general identifying construction for n={n} < 11")
@@ -210,22 +214,23 @@ def _tiled_code(n: int, period: int, pattern: tuple[int, ...], patch: tuple[int,
 
 
 def locating_code_for(n: int) -> Code:
-    """A minimum-size-known locating code in C(n;1,3) for n >= 13.
+    """A minimum locating code in C(n;1,3) for n >= 13.
 
     Residue classes 0, 1, 4 (mod 6) get size ceil(n/3); classes 2, 3, 5 get
-    ceil(n/3) + 1, which exhaustive search shows is optimal wherever it has
-    reached (all n <= 38 in class 2 mod 3, and n <= 33 in class 3 mod 6).
+    ceil(n/3) + 1, which the stored transfer-matrix proof shows is optimal
+    for every n.
     """
     size = locating_code_size(n)  # raises UnsupportedOrder below 13
     return _checked(_tiled_code(n, 6, LOCATING_BLOCK, _LOCATING_ROWS[n % 6]), size)
 
 
 def identifying_code_for(n: int) -> Code:
-    """A minimum-size-known identifying code in C(n;1,3) for n >= 11.
+    """An identifying code in C(n;1,3) for n >= 11, minimum for n >= 13.
 
     Uses the stored exhaustive-search optima for the five thin orders in
     residue classes 2 and 5 (mod 11), and the block-plus-patch family
-    everywhere else.
+    everywhere else.  The stored transfer-matrix proof shows the size is
+    optimal for every n >= 13.
     """
     size = identifying_code_size(n)  # raises UnsupportedOrder below 11
     if n in _IDENTIFYING_SPECIALS:

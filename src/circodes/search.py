@@ -1,4 +1,14 @@
-"""Exact minimum-code search with rotation-canonical enumeration.
+"""Exact minimum code sizes: stored proofs first, then exhaustive search.
+
+Two engines answer.  For locating and identifying codes of C(n;1,3) with
+n >= 13, ``proofs`` stores a transfer-matrix proof of the minimum for every
+n (computed by ``transfer``, re-run by ``circodes prove``).  There
+``min_code_size`` returns the table construction as the proved optimum once
+it has the proved size and passes ``Code.verify``, and
+``exists_code_of_size`` answers None below the minimum, with no search and
+no budget.  Every other question (dominating codes, n < 13, other offsets,
+and sizes at or above a proved minimum) runs the exhaustive search below,
+bounded by the order budget.  The engine follows from the question alone.
 
 The searcher walks gap sequences: a code {0, v1, v2, ...} is encoded by the
 gaps between consecutive members around the cycle.  Fixing 0 as a member and
@@ -39,9 +49,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from concurrent.futures import ProcessPoolExecutor
 
+from . import constructions
 from .circulant import CirculantGraph
 from .codes import Code, Kind, defects
-from .errors import BudgetExceeded, OracleTooLarge, UnsupportedOrder
+from .errors import BudgetExceeded, OracleTooLarge
+from .proofs import proof_for
 
 __all__ = [
     "BoundReport",
@@ -53,13 +65,14 @@ __all__ = [
     "exists_code_of_size",
     "min_code_size",
     "naive_min_code_size",
+    "proved_minimum",
     "DEFAULT_SEARCH_BUDGETS",
     "BUDGET_ENV_VAR",
 ]
 
-# Orders up to which exhaustive optimality proofs run by default.  Beyond
-# these, min_code_size raises BudgetExceeded carrying best-known partial
-# results.  Override per call, or globally via the environment variable.
+# Orders up to which the exhaustive search runs by default.  Beyond these,
+# a question the stored proofs do not answer raises BudgetExceeded carrying
+# the lower bound.  Override per call, or globally via the environment variable.
 DEFAULT_SEARCH_BUDGETS = {Kind.LOCATING: 38, Kind.IDENTIFYING: 33, Kind.DOMINATING: 38}
 BUDGET_ENV_VAR = "CIRCODES_BUDGET"
 
@@ -123,12 +136,20 @@ class NoneAtSize:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The answer to a minimum-size question.
+
+    ``outcome`` is None when no code of the kind exists (twin vertices).
+    ``engine`` names what answered: "proof" for a stored transfer-matrix
+    proof, "dfs" for the exhaustive search.
+    """
+
     kind: Kind
     n: int
     outcome: Optimum | NoneAtSize | None
     stats: SearchStats
     proved: bool = True
     note: str = ""
+    engine: str = "dfs"
 
 
 def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundReport:
@@ -279,8 +300,9 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
                     progress=None) -> tuple[Code | None, SearchStats]:
     n = g.n
     if k >= n:
-        # the full vertex set is always valid; nothing to search
-        return Code(g, range(n)), SearchStats()
+        # the full vertex set is the only candidate: valid unless twins exist
+        valid = next(defects(n, (1 << n) - 1, g.pattern, kind), None) is None
+        return (Code(g, range(n)) if valid else None), SearchStats()
     t0 = time.perf_counter()
     cap = 2 * g.offsets[-1] + 1
     parts = _partitions(k, cap)
@@ -311,16 +333,29 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
     return (Code.from_mask(g, winner) if winner is not None else None), stats
 
 
+def proved_minimum(g: CirculantGraph, kind: Kind) -> int | None:
+    """The minimum code size that a stored proof gives for g, or None.
+
+    Proofs cover locating and identifying codes of C(n;1,3) for n >= 13.
+    """
+    proof = proof_for(g.offsets, kind, g.n)
+    return None if proof is None else proof.minimum(g.n)
+
+
 def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
                         threads: int = 1, progress=None) -> Code | None:
     """Find a valid code of size exactly k, or certify none exists.
 
-    Exhausts all k-subsets up to rotation; the returned certificate is
+    Below a proved minimum the answer is None without a search.  Otherwise
+    it exhausts all k-subsets up to rotation; the returned certificate is
     deterministic for a given graph regardless of thread count.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
     _check_threads(threads)
+    floor = proved_minimum(g, kind)
+    if floor is not None and k < floor:
+        return None
     code, _ = _search_at_size(g, kind, k, threads=threads, progress=progress)
     return code
 
@@ -334,43 +369,61 @@ def resolve_budget(kind: Kind, budget: int | None = None) -> int:
     return DEFAULT_SEARCH_BUDGETS[kind]
 
 
-def _best_construction(g: CirculantGraph, kind: Kind) -> Code | None:
-    if tuple(g.offsets) != (1, 3):
+def _no_code(g: CirculantGraph, kind: Kind) -> SearchResult | None:
+    """The answer when no code of this kind exists on g, else None.
+
+    Adding vertices keeps a code valid, so a code exists iff the full vertex
+    set is one.  That fails only for identifying codes on graphs with twins:
+    vertices with equal closed neighbourhoods, such as C(5;1,2).
+    """
+    witness = Code(g, range(g.n)).verify(kind).witness
+    if witness is None:
         return None
-    from . import constructions
-    try:
-        if kind is Kind.LOCATING:
-            return constructions.locating_code_for(g.n)
-        if kind is Kind.IDENTIFYING:
-            return constructions.identifying_code_for(g.n)
-    except UnsupportedOrder:
+    u, v = witness
+    return SearchResult(kind, g.n, None, SearchStats(), note=(
+        f"no {kind.value} code exists: vertices {u} and {v} have equal "
+        f"closed neighbourhoods"))
+
+
+def _from_proof(g: CirculantGraph, kind: Kind) -> SearchResult | None:
+    """The table construction as a proved optimum, when a stored proof covers g.
+
+    None, so that the search runs, unless the construction has the proved
+    size and passes Code.verify.
+    """
+    size = proved_minimum(g, kind)
+    if size is None:
         return None
-    return None
+    build = (constructions.locating_code_for if kind is Kind.LOCATING
+             else constructions.identifying_code_for)
+    code = build(g.n)
+    if code.graph != g or len(code) != size or not code.verify(kind):
+        return None
+    return SearchResult(kind, g.n, Optimum(size, code), SearchStats(), engine="proof")
 
 
 def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
                   threads: int = 1, progress=None) -> SearchResult:
     """Exact minimum code size with an optimality certificate.
 
-    Iterates k upward from the effective lower bound, so the first hit is
+    Where a stored proof covers g, the answer is the table construction,
+    re-checked by Code.verify, and no budget applies.  Otherwise the search
+    iterates k upward from the effective lower bound, so the first hit is
     optimal.  Orders beyond the budget raise BudgetExceeded whose `partial`
-    carries the lower bound and, when a table construction applies, its code
-    as an unproved upper bound.
+    carries the lower bound.  When no code exists at all (twin vertices),
+    the outcome is None and the note names a twin pair.
     """
     _check_threads(threads)
+    answer = _no_code(g, kind) or _from_proof(g, kind)
+    if answer is not None:
+        return answer
     limit = resolve_budget(kind, budget)
     report = lower_bound(g.n, kind, g.offsets)
     if g.n > limit:
-        best = _best_construction(g, kind)
-        partial = SearchResult(
-            kind, g.n,
-            Optimum(len(best), best) if best is not None else NoneAtSize(report.effective - 1),
-            SearchStats(), proved=False,
-            note=f"order {g.n} exceeds search budget {limit}; "
-                 f"lower bound {report.effective}"
-                 + (f", best construction size {len(best)}" if best is not None else ""),
-        )
-        raise BudgetExceeded(partial.note, partial=partial)
+        note = f"order {g.n} exceeds search budget {limit}; lower bound {report.effective}"
+        partial = SearchResult(kind, g.n, NoneAtSize(report.effective - 1), SearchStats(),
+                               proved=False, note=note)
+        raise BudgetExceeded(note, partial=partial)
     total = SearchStats()
     for k in range(report.effective, g.n + 1):
         code, stats = _search_at_size(g, kind, k, threads=threads, progress=progress)
@@ -380,7 +433,7 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
                             total.wall_time + stats.wall_time)
         if code is not None:
             return SearchResult(kind, g.n, Optimum(k, code), total)
-    raise AssertionError("unreachable: the full vertex set is always valid")
+    raise AssertionError("unreachable: the full vertex set is valid")
 
 
 def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
@@ -403,4 +456,5 @@ def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
             if next(defects(n, mask, g.pattern, kind), None) is None:
                 stats = SearchStats(examined, 0, 0, time.perf_counter() - t0)
                 return SearchResult(kind, n, Optimum(k, Code(g, members)), stats)
-    raise AssertionError("unreachable: the full vertex set is always valid")
+    # no subset is valid, the full set included: g has twin vertices
+    return _no_code(g, kind)

@@ -1,0 +1,178 @@
+"""Min-plus transfer-matrix solver for codes in C(n; offsets) with dmax <= 3.
+
+Every constraint of a code is anchored at a vertex u and reads only the
+W = 4*dmax + 1 bits u - dmax .. u + 3*dmax: the shadow of u, and for each
+collision partner u + d, d <= 2*dmax, the shadow of u + d.  For n >= W a
+code on Z_n is therefore a closed walk of length n in a de Bruijn-style
+graph on the (W - 1)-bit words: an edge appends one bit, is allowed when its
+W-bit window passes the checks anchored at the window's vertex dmax
+(``codes.defects`` with that single anchor), and costs the appended bit.
+The minimum code size is the smallest diagonal entry of the min-plus power
+D(n) = A^n.  Only live states count: those left after states without a
+predecessor or a successor are removed, repeatedly.  Every closed walk
+stays among them.
+
+Min-plus powers of an irreducible matrix are eventually periodic (Cohen,
+Dubois, Quadrat and Viot, 1985): D(m + p) = D(m) + c from some onset on.
+``solve`` does not rely on the theorem.  It steps D(m) until the first exact
+repeat up to such a shift, and since D(m + 1) = D(m) A, one repeat at the
+onset gives it for every later m.  Every offset set with dmax <= 3 and every
+kind repeats within 120 steps.  The minima below onset + p then give the
+exact minimum for every n >= W, which is what ``proofs.Proof`` stores.
+This is the transfer-matrix method of Junnila and Laihonen, *Optimal
+identifying codes in cycles and paths*, Graphs Combin. 2012.
+
+D(m) is held column by column in pure Python: for each target state t, a
+tuple of cumulative bitsets over the start states, entry c holding the
+starts s with D(m)[s][t] <= base + c, base being the smallest entry of
+D(m).  A min-plus step is then an OR of the predecessors' tuples, and every
+state has at most two predecessors.  dmax = 4 would need 2^16 states, so
+larger offsets stay with the exhaustive search.
+"""
+
+from __future__ import annotations
+
+from .circulant import CirculantGraph
+from .codes import Kind, defects
+from .proofs import Proof
+
+__all__ = ["MAX_DMAX", "allowed_windows", "live_graph", "solve"]
+
+MAX_DMAX = 3
+
+
+def allowed_windows(offsets: tuple[int, ...], kind: Kind) -> list[bool]:
+    """Whether each (4*dmax + 1)-bit window passes the checks anchored at bit dmax.
+
+    Bit j of a window is the code bit of vertex u - dmax + j.  A code on
+    Z_n, n >= 4*dmax + 1, is valid iff the window around every vertex passes.
+    """
+    offsets = tuple(sorted(offsets))
+    dmax = offsets[-1]
+    if dmax > MAX_DMAX:
+        raise ValueError(f"the transfer-matrix solver needs dmax <= {MAX_DMAX}, "
+                         f"got offsets {offsets}")
+    width = 4 * dmax + 1
+    pattern = CirculantGraph(width, offsets).pattern
+    anchor = 1 << dmax
+    return [next(defects(width, w, pattern, kind, anchor), None) is None
+            for w in range(1 << width)]
+
+
+def live_graph(offsets: tuple[int, ...], kind: Kind) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The live states of the window graph and their live predecessors.
+
+    Returns ``(states, preds)``: the live words in increasing order, and for
+    each the indices of the live states with an allowed edge into it.  A
+    state's appended bit, and so the cost of every edge into it, is its top
+    bit.
+    """
+    allowed = allowed_windows(offsets, kind)
+    bits = len(allowed).bit_length() - 2
+    size = 1 << bits
+    low = size - 1
+    # edge s -> t = w >> 1 for the window w = s | b << bits
+    succ = [[w >> 1 for w in (s, s | size) if allowed[w]] for s in range(size)]
+    pred = [[w & low for w in (t << 1, t << 1 | 1) if allowed[w]] for t in range(size)]
+    # trim the states that no closed walk passes: no live successor or predecessor
+    live = [True] * size
+    outs = [len(x) for x in succ]
+    ins = [len(x) for x in pred]
+    stack = [s for s in range(size) if not outs[s] or not ins[s]]
+    for s in stack:
+        live[s] = False
+    while stack:
+        s = stack.pop()
+        for t in succ[s]:
+            if live[t]:
+                ins[t] -= 1
+                if not ins[t]:
+                    live[t] = False
+                    stack.append(t)
+        for r in pred[s]:
+            if live[r]:
+                outs[r] -= 1
+                if not outs[r]:
+                    live[r] = False
+                    stack.append(r)
+    states = [s for s in range(size) if live[s]]
+    index = {s: i for i, s in enumerate(states)}
+    preds = [tuple(index[r] for r in pred[t] if live[r]) for t in states]
+    return states, preds
+
+
+def _powers(preds: list[tuple[int, ...]], costs: list[int]):
+    """Yield (m, base, columns) for D(m), m = 0, 1, 2, ...
+
+    ``columns[t]`` is the tuple of cumulative start-state bitsets described
+    in the module docstring, without trailing repeats, so that equal
+    matrices have equal columns.
+    """
+    columns = [(1 << t,) for t in range(len(preds))]  # D(0): the identity
+    base = 0
+    m = 0
+    while True:
+        yield m, base, columns
+        m += 1
+        new = []
+        for ps, cost in zip(preds, costs):
+            col = columns[ps[0]]
+            if len(ps) == 2:
+                other = columns[ps[1]]
+                if len(other) > len(col):
+                    col, other = other, col
+                last = other[-1]
+                col = tuple([x | y for x, y in zip(col, other)]
+                            + [x | last for x in col[len(other):]])
+                while len(col) > 1 and col[-1] == col[-2]:
+                    col = col[:-1]
+            # an empty column stays (0,): no level to shift
+            new.append((0,) + col if cost and col[-1] else col)
+        if not any(col[0] for col in new):
+            base += 1
+            new = [col[1:] or (0,) for col in new]
+        columns = new
+
+
+def _diagonal_minimum(base: int, columns: list[tuple[int, ...]]) -> int | None:
+    best = None
+    for s, col in enumerate(columns):
+        bit = 1 << s
+        for c, starts in enumerate(col):
+            if starts & bit:
+                if best is None or c < best:
+                    best = c
+                break
+    return None if best is None else base + best
+
+
+def solve(offsets: tuple[int, ...], kind: Kind) -> Proof:
+    """Compute the transfer-matrix proof for C(n; offsets), every n >= 4*dmax + 1."""
+    offsets = tuple(sorted(offsets))
+    states, preds = live_graph(offsets, kind)
+    top = 4 * offsets[-1] - 1
+    costs = [s >> top & 1 for s in states]
+    first = top + 2
+    seen: dict[int, tuple[int, int]] = {}
+    minima = []
+    repeat = end = None
+    for m, base, columns in _powers(preds, costs):
+        if repeat is None:
+            key = hash(tuple(columns))
+            if key in seen:
+                onset, onset_base = seen[key]
+                repeat, period, increment = columns, m - onset, base - onset_base
+                end = max(onset, first) + period
+            else:
+                seen[key] = m, base
+        if end is not None and m == end:
+            break
+        minima.append(_diagonal_minimum(base, columns))
+    # the hash only proposes the repeat: recompute D(onset) and compare exactly
+    for m, _, columns in _powers(preds, costs):
+        if m == onset:
+            break
+    if columns != repeat:
+        raise RuntimeError(f"hash collision at D({onset}) and D({onset + period})")
+    return Proof(offsets, kind, len(states), onset, period, increment, first,
+                 tuple(minima[first:end]))

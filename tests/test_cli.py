@@ -189,18 +189,18 @@ def test_search_fixed_k_absent_exit_one(capsys):
 
 
 def test_search_budget_exceeded_exit_three(capsys):
-    code, out, _ = run(capsys, "search", "-n", "60", "--kind", "identifying")
+    code, out, _ = run(capsys, "search", "-n", "60", "--offsets", "1,4",
+                       "--kind", "identifying")
     assert code == 3
     assert "budget" in out
 
 
 def test_search_budget_json_partial(capsys):
-    code, out, err = run(capsys, "search", "-n", "60", "--kind", "identifying",
-                         "--json")
+    code, out, err = run(capsys, "search", "-n", "60", "--offsets", "1,4",
+                         "--kind", "identifying", "--json")
     assert code == 3
     doc = json.loads(out)
     assert doc["outcome"]["optimum"] is None
-    assert doc["outcome"]["best_known"]["size"] == 23
 
 
 def test_search_env_budget(capsys, monkeypatch):
@@ -210,13 +210,13 @@ def test_search_env_budget(capsys, monkeypatch):
 
 
 def test_search_fixed_k_explicit_budget_exit_three(capsys):
-    code, out, err = run(capsys, "search", "-n", "41", "--kind", "identifying",
-                         "--k", "15", "--budget", "33")
+    code, out, err = run(capsys, "search", "-n", "41", "--offsets", "1,4",
+                         "--kind", "identifying", "--k", "15", "--budget", "33")
     assert code == 3
     assert out == ""
     assert "exceeds search budget 33" in err
-    code, out, _ = run(capsys, "search", "-n", "41", "--kind", "identifying",
-                       "--k", "15", "--budget", "33", "--json")
+    code, out, _ = run(capsys, "search", "-n", "41", "--offsets", "1,4",
+                       "--kind", "identifying", "--k", "15", "--budget", "33", "--json")
     assert code == 3
     doc = json.loads(out)
     assert doc["outcome"]["exists"] is None
@@ -249,6 +249,54 @@ def test_threads_below_one_exit_two(capsys, argv, threads):
     assert "--threads must be at least 1" in err
 
 
+@pytest.mark.parametrize("n, offsets, pair", [("5", "1,2", "0 and 1"), ("3", "1", "0 and 1"),
+                                              ("6", "2", "0 and 2")])
+def test_search_twins_exit_one(capsys, n, offsets, pair):
+    code, out, _ = run(capsys, "search", "-n", n, "--offsets", offsets,
+                       "--kind", "identifying")
+    assert code == 1
+    assert f"no identifying code exists: vertices {pair} have equal closed" in out
+    code, doc = run_json(capsys, "search", "-n", n, "--offsets", offsets,
+                         "--kind", "identifying")
+    assert code == 1
+    assert doc["outcome"]["optimum"] is None and doc["outcome"]["code"] is None
+    assert pair in doc["outcome"]["note"]
+    assert doc["outcome"]["proved"] is True
+    code, _, _ = run(capsys, "search", "-n", n, "--offsets", offsets,
+                     "--kind", "identifying", "--k", n)
+    assert code == 1
+
+
+def test_search_engine_and_proof_status(capsys):
+    code, doc = run_json(capsys, "search", "-n", "60", "--kind", "identifying")
+    assert code == 0
+    outcome = doc["outcome"]
+    assert (outcome["optimum"], outcome["engine"], outcome["proved"]) == (23, "proof", True)
+    code, _, _ = run(capsys, "verify", "-n", "60", "--kind", "identifying",
+                     "--code", ",".join(map(str, outcome["code"])))
+    assert code == 0
+    code, doc = run_json(capsys, "search", "-n", "12", "--kind", "locating")
+    assert (doc["outcome"]["engine"], doc["outcome"]["proved"]) == ("dfs", True)
+
+
+def test_search_fixed_k_engine(capsys):
+    # below the proved minimum the proof answers, whatever the budget
+    code, out, _ = run(capsys, "search", "-n", "41", "--kind", "identifying",
+                       "--k", "15", "--budget", "33")
+    assert code == 1
+    assert "proved minimum 16" in out
+    code, doc = run_json(capsys, "search", "-n", "41", "--kind", "identifying",
+                         "--k", "15")
+    assert (doc["outcome"]["exists"], doc["outcome"]["engine"]) == (False, "proof")
+    # at the minimum the search runs, and the budget bounds it
+    code, doc = run_json(capsys, "search", "-n", "22", "--kind", "identifying",
+                         "--k", "8")
+    assert (code, doc["outcome"]["exists"], doc["outcome"]["engine"]) == (0, True, "dfs")
+    code, doc = run_json(capsys, "search", "-n", "41", "--kind", "identifying",
+                         "--k", "16", "--budget", "33")
+    assert (code, doc["outcome"]["engine"], doc["outcome"]["proved"]) == (3, "dfs", False)
+
+
 def test_search_json_stats(capsys):
     code, doc = run_json(capsys, "search", "-n", "10", "--kind", "identifying")
     assert code == 0
@@ -277,6 +325,15 @@ def test_table_match_column(capsys):
             assert fields[-1] == "="
 
 
+def test_table_engine_and_budget(capsys):
+    # the budget bounds the search only: proved orders get their optimum anyway
+    code, doc = run_json(capsys, "table", "--kind", "locating", "--from", "11",
+                         "--to", "14", "--budget", "11")
+    assert code == 0
+    assert [(r["n"], r["optimum"], r["engine"]) for r in doc["outcome"]["rows"]] == [
+        (11, 4, "dfs"), (12, None, None), (13, 5, "proof"), (14, 6, "proof")]
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--kind", "locating",
                        "--from", "13", "--to", "15", "--csv")
@@ -300,6 +357,36 @@ def test_table_bad_range_exit_two(capsys):
     code, _, err = run(capsys, "table", "--kind", "locating",
                        "--from", "20", "--to", "10")
     assert code == 2
+
+
+# -- prove ----------------------------------------------------------------------
+
+def test_prove_offsets_1_2(capsys):
+    code, doc = run_json(capsys, "prove", "--kind", "locating", "--offsets", "1,2")
+    assert code == 0
+    outcome = doc["outcome"]
+    assert (outcome["live_states"], outcome["first"], outcome["density"]) == (206, 9, "1/3")
+    assert outcome["matches_stored"] is None
+    code, out, _ = run(capsys, "prove", "--kind", "identifying", "--offsets", "2,1")
+    assert code == 0
+    assert "104 live states" in out and "no stored proof" in out
+
+
+def test_prove_differing_stored_proof_exit_one(capsys, monkeypatch):
+    from circodes import cli, transfer
+    wrong = transfer.solve((1, 2), Kind.LOCATING)._replace(onset=0)
+    monkeypatch.setitem(cli.PROOFS, ((1, 2), Kind.LOCATING), wrong)
+    code, out, _ = run(capsys, "prove", "--kind", "locating", "--offsets", "1,2")
+    assert code == 1
+    assert "DIFFERS" in out
+
+
+@pytest.mark.parametrize("offsets", ["1,4", "2,5"])
+def test_prove_rejects_dmax_above_three(capsys, offsets):
+    code, out, err = run(capsys, "prove", "--kind", "locating", "--offsets", offsets)
+    assert code == 2
+    assert out == ""
+    assert "largest offset of at most 3" in err
 
 
 # -- density --------------------------------------------------------------------

@@ -139,14 +139,12 @@ def test_dominating_minimum():
 # -- budget handling -----------------------------------------------------------
 
 def test_budget_exceeded_carries_partial():
+    # {1,4} has no stored proof, so its orders stay with the budgeted search
     with pytest.raises(BudgetExceeded) as exc_info:
-        min_code_size(C(60), Kind.IDENTIFYING)
+        min_code_size(C(60, (1, 4)), Kind.IDENTIFYING)
     partial = exc_info.value.partial
     assert partial is not None
     assert not partial.proved
-    assert isinstance(partial.outcome, Optimum)
-    assert partial.outcome.certificate.is_identifying()
-    assert partial.outcome.size == 23
 
 
 def test_budget_override_allows_larger_n(monkeypatch):
@@ -159,9 +157,28 @@ def test_budget_override_allows_larger_n(monkeypatch):
 
 def test_partial_without_construction_reports_bound():
     with pytest.raises(BudgetExceeded) as exc_info:
-        min_code_size(C(40), Kind.LOCATING, budget=20)
+        min_code_size(C(40, (1, 4)), Kind.LOCATING, budget=20)
     partial = exc_info.value.partial
     assert partial is not None and not partial.proved
+
+
+# -- graphs with twin vertices -------------------------------------------------
+
+TWINS = [(5, (1, 2), (0, 1)), (3, (1,), (0, 1)), (6, (2,), (0, 2))]
+
+
+@pytest.mark.parametrize("n, offsets, pair", TWINS)
+def test_no_identifying_code_with_twins(n, offsets, pair):
+    g = C(n, offsets)
+    for result in (min_code_size(g, Kind.IDENTIFYING), naive_min_code_size(g, Kind.IDENTIFYING)):
+        assert result.outcome is None
+        assert result.proved
+        assert f"vertices {pair[0]} and {pair[1]} have equal closed neighbourhoods" \
+            in result.note
+    for k in range(1, n + 1):
+        assert exists_code_of_size(g, Kind.IDENTIFYING, k) is None
+    # twins do not stop locating codes: the full set is one
+    assert min_code_size(g, Kind.LOCATING).outcome is not None
 
 
 # -- naive oracle ----------------------------------------------------------------
@@ -193,7 +210,8 @@ def test_stats_populated():
     assert result.stats.wall_time >= 0
 
 
-def test_best_construction_propagates_other_errors(monkeypatch):
+def test_construction_errors_propagate(monkeypatch):
+    # a proved order returns the construction: its errors are not swallowed
     from circodes import constructions
 
     def broken(n):
