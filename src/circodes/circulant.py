@@ -85,8 +85,10 @@ class CirculantGraph:
     def _closed_masks(self) -> tuple[int, ...]:
         """Closed-neighbourhood bitmask of every vertex: O(n^2) bits.
 
-        For the exhaustive search's pruning loop, which runs at small n
-        only; built on first access and kept.
+        No library code reads it: the search takes its pruning from
+        ``codes.defects``.  It stays only because the benchmark's trace
+        counter (``bench/spans.py``) reads it, until that counter changes.
+        Built on first access and kept.
         """
         masks = self._masks
         if masks is None:

@@ -201,10 +201,10 @@ def cmd_search(args) -> int:
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget, "threads": args.threads, "seed": None}
     if args.k is not None:
-        # below a proved minimum the proof answers; the search runs unbudgeted
-        # unless --budget is given explicitly
+        # where a proof covers the graph it answers every k; the search runs
+        # unbudgeted unless --budget is given explicitly
         floor = proved_minimum(g, kind)
-        engine = "proof" if floor is not None and args.k < floor else "dfs"
+        engine = "dfs" if floor is None else "proof"
         if engine == "dfs" and args.budget is not None and args.n > args.budget:
             note = f"order {args.n} exceeds search budget {args.budget}"
             outcome = {"exists": None, "size": args.k, "code": None, "note": note,

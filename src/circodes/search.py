@@ -5,10 +5,11 @@ n >= 13, ``proofs`` stores a transfer-matrix proof of the minimum for every
 n (computed by ``transfer``, re-run by ``circodes prove``).  There
 ``min_code_size`` returns the table construction as the proved optimum once
 it has the proved size and passes ``Code.verify``, and
-``exists_code_of_size`` answers None below the minimum, with no search and
-no budget.  Every other question (dominating codes, n < 13, other offsets,
-and sizes at or above a proved minimum) runs the exhaustive search below,
-bounded by the order budget.  The engine follows from the question alone.
+``exists_code_of_size`` answers None below the minimum and the construction
+padded with non-members at or above it, with no search and no budget.
+Every other question (dominating codes, n < 13, other offsets) runs the
+exhaustive search below, bounded by the order budget.  The engine follows
+from the question alone.
 
 The searcher walks gap sequences: a code {0, v1, v2, ...} is encoded by the
 gaps between consecutive members around the cycle.  Fixing 0 as a member and
@@ -23,17 +24,15 @@ undominated.  Every surviving leaf is re-checked by the full verifier, so
 pruning bugs can only lose solutions, never invent them; the test suite
 compares against an unpruned oracle to guard the other direction.
 
-Once the last member sits at pos >= 4*dmax - 1, the pruning of a
-placement at pos + gap reads only the code bits pos-4*dmax+1 .. pos and the
-gap: every vertex it settles, and every pair partner within 2*dmax below,
-has an unwrapped shadow inside that window.  The verdict is then a function
-of (window, gap) alone, independent of n, and is cached in a per-process
-table per (offsets, kind), filled lazily by the same pruning loop on a miss.
-A placement becomes one table read.  Bit pos is always set, so the index
-drops it: 2**(4*dmax-1) windows times 2*dmax+2 gap slots, one byte each
-(16 KB for dmax = 3, 320 KB for dmax = 4).  Offsets with dmax > 4 would
-need 6 MB and more, and run the loop alone.  Node and prune counts are the
-same with or without the table.
+With the last member at pos, a placement at pos + gap settles the vertices
+up to pos + gap - dmax.  Their checks read only the gap and the code bits
+max(pos - 4*dmax + 1, 0) .. pos, whatever n is, so one cache per
+(offsets, kind) maps each such window to the row of gaps that prune, for
+every dmax.  A miss fills the row with two ``codes.defects`` calls on one
+cycle that holds all 2*dmax + 1 placements as disjoint copies, anchored at
+each copy's settled vertices: domination, then the pairs of the copies that
+passed.  Vertices settled earlier pass again, as they did when they
+settled, so the counts are those of checking the new vertices alone.
 
 Partitions by the first two gaps are independent, which gives deterministic
 multiprocess parallelism: results merge in partition order up to the first
@@ -46,7 +45,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 from concurrent.futures import ProcessPoolExecutor
 
 from . import constructions
@@ -78,24 +78,46 @@ BUDGET_ENV_VAR = "CIRCODES_BUDGET"
 
 NAIVE_LIMIT = 16
 
-# Largest dmax that gets a window-verdict table (see the module docstring).
-WINDOW_TABLE_MAX_DMAX = 4
-# (offsets, kind) -> verdict per (window, gap): 0 unknown, 1 prune, 2 pass.
+# (offsets, kind) -> {window: row with bit g set for each gap g that prunes}.
 # A cache of a pure function: a forked worker inherits it warm, a spawned
 # one fills its own.
-_WINDOW_TABLES: dict[tuple[tuple[int, ...], Kind], bytearray] = {}
-_PRUNE, _PASS = 1, 2
+_VERDICTS: dict[tuple[tuple[int, ...], Kind], dict[int, int]] = {}
 
 
-def _window_table(offsets: tuple[int, ...], kind: Kind) -> bytearray | None:
-    dmax = offsets[-1]
-    if dmax > WINDOW_TABLE_MAX_DMAX:
-        return None
-    table = _WINDOW_TABLES.get((offsets, kind))
-    if table is None:
-        table = _WINDOW_TABLES[(offsets, kind)] = bytearray(
-            (1 << (4 * dmax - 1)) * (2 * dmax + 2))
-    return table
+@lru_cache(maxsize=None)
+def _layout(dmax: int, pos: int):
+    """The cycle ``_prune_row`` checks when the last member sits at pos.
+
+    Copy g - 1 holds the placement of gap g.  Returns the cycle length, the
+    multiplier that repeats a window into every copy, the new members, the
+    anchors (each copy's settled vertices dmax .. pos + g - dmax) and the
+    bits of each copy.
+    """
+    span = 6 * dmax + 1  # a copy reads its bits 0 .. pos + gap <= 6*dmax
+    shifts = range(0, (2 * dmax + 1) * span, span)
+    members = anchors = 0
+    for gap, shift in enumerate(shifts, 1):
+        members |= 1 << (shift + pos + gap)
+        if pos + gap >= 2 * dmax:
+            anchors |= ((2 << (pos + gap - dmax)) - (1 << dmax)) << shift
+    return (len(shifts) * span, sum(1 << shift for shift in shifts), members, anchors,
+            tuple(((1 << span) - 1) << shift for shift in shifts))
+
+
+def _prune_row(window: int, pattern: tuple[int, ...], dmax: int, kind: Kind) -> int:
+    """Bit gap set for each gap 1..2*dmax+1 at which the next member prunes.
+
+    ``window`` holds the code bits up to the last member, at its top bit.
+    A pair (u, u + d) counts only once u + d is settled.
+    """
+    n, repeat, members, anchors, copies = _layout(dmax, window.bit_length() - 1)
+    mask = window * repeat | members
+    bad = next(defects(n, mask, pattern, Kind.DOMINATING, anchors), (0, 0))[1]
+    if kind is not Kind.DOMINATING:
+        live = anchors & ~sum(copy for copy in copies if bad & copy)
+        for d, bits in defects(n, mask, pattern, kind, live):
+            bad |= bits & live >> d
+    return sum(1 << gap for gap, copy in enumerate(copies, 1) if bad & copy)
 
 
 @dataclass(frozen=True)
@@ -184,52 +206,25 @@ def _search_partition(n, offsets, kind, k, prefix):
 
     Runs in worker processes; arguments and results stay picklable.
     """
-    g = CirculantGraph(n, offsets)
-    nb = g._closed_masks
-    pattern = g.pattern
-    dmax = g.offsets[-1]
+    pattern = CirculantGraph(n, offsets).pattern
+    dmax = offsets[-1]
     cap = 2 * dmax + 1
-    pair_reach = 2 * dmax
-    check_pairs = kind is not Kind.DOMINATING
-    skip_members = kind is Kind.LOCATING
-    table = _window_table(g.offsets, kind)
     steady = 4 * dmax - 1
-    low = (1 << steady) - 1
-    stride = 2 * dmax + 2
+    verdicts = _VERDICTS.setdefault((offsets, kind), {})
     examined = 0
     pruned_sym = 0
     pruned_bound = 0
     found: list[int] = []
     t0 = time.perf_counter()
 
-    def place(pos, mask, fin, gap):
-        """Extend by one member at pos+gap; returns (ok, new_fin, new_mask)."""
-        nonlocal pruned_bound
-        p = pos + gap
-        m2 = mask | (1 << p)
-        v = fin + 1
-        top = p - dmax
-        while v <= top:
-            if v >= dmax:
-                sh = m2 & nb[v]
-                if not sh:
-                    pruned_bound += 1
-                    return False, fin, mask
-                if check_pairs and not (skip_members and (m2 >> v) & 1):
-                    d = 1
-                    while d <= pair_reach:
-                        u = v - d
-                        if u < dmax:
-                            break
-                        if not (skip_members and (m2 >> u) & 1) and m2 & nb[u] == sh:
-                            pruned_bound += 1
-                            return False, fin, mask
-                        d += 1
-            fin = v
-            v += 1
-        return True, fin, m2
+    def row_at(pos, mask):
+        window = mask >> (pos - steady) if pos > steady else mask
+        row = verdicts.get(window)
+        if row is None:
+            row = verdicts[window] = _prune_row(window, pattern, dmax, kind)
+        return row
 
-    def dfs(pos, count, mask, g0, fin):
+    def dfs(pos, count, mask, g0):
         nonlocal examined, pruned_sym, pruned_bound
         examined += 1
         if count == k:
@@ -244,43 +239,25 @@ def _search_partition(n, offsets, kind, k, prefix):
                 found.append(mask)
                 return True
             return False
-        lo = g0 if g0 else 1
-        hi = min(cap, n - 1 - pos - (k - count - 1))
-        if table is None or pos < steady:
-            for gap in range(lo, hi + 1):
-                ok, new_fin, m2 = place(pos, mask, fin, gap)
-                if ok and dfs(pos + gap, count + 1, m2, g0 or gap, new_fin):
-                    return True
-            return False
-        # steady state: fin == pos - dmax and g0 is set
-        base = ((mask >> (pos - steady)) & low) * stride
-        for gap in range(lo, hi + 1):
-            verdict = table[base + gap]
-            if not verdict:
-                verdict = _PASS if place(pos, mask, fin, gap)[0] else _PRUNE
-                table[base + gap] = verdict
-            elif verdict == _PRUNE:
+        row = row_at(pos, mask)
+        for gap in range(g0 or 1, min(cap, n - 1 - pos - (k - count - 1)) + 1):
+            if row >> gap & 1:
                 pruned_bound += 1
-            if verdict == _PASS:
-                p = pos + gap
-                if dfs(p, count + 1, mask | (1 << p), g0, p - dmax):
-                    return True
+            elif dfs(pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap):
+                return True
         return False
 
-    # replay the fixed prefix through the same pruning machinery
-    pos, count, mask, g0, fin = 0, 1, 1, 0, dmax - 1
-    dead = False
+    # replay the fixed prefix through the same verdicts
+    pos, count, mask, g0 = 0, 1, 1, 0
     for gap in prefix:
         if count == k or pos + gap > n - 1 - (k - count - 1):
-            dead = True
             break
-        ok, fin, mask = place(pos, mask, fin, gap)
-        if not ok:
-            dead = True
+        if row_at(pos, mask) >> gap & 1:
+            pruned_bound += 1
             break
-        pos, count, g0 = pos + gap, count + 1, g0 or gap
-    if not dead:
-        dfs(pos, count, mask, g0, fin)
+        pos, count, mask, g0 = pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap
+    else:
+        dfs(pos, count, mask, g0)
     stats = (examined, pruned_sym, pruned_bound, time.perf_counter() - t0)
     return (found[0] if found else None), stats
 
@@ -346,16 +323,27 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
                         threads: int = 1, progress=None) -> Code | None:
     """Find a valid code of size exactly k, or certify none exists.
 
-    Below a proved minimum the answer is None without a search.  Otherwise
-    it exhausts all k-subsets up to rotation; the returned certificate is
-    deterministic for a given graph regardless of thread count.
+    Where a stored proof covers g, no search runs: below the proved minimum
+    the answer is None, and at or above it the table construction plus the
+    k - minimum smallest non-members, once Code.verify passes (adding
+    vertices keeps a code valid).  Otherwise it exhausts all k-subsets up to
+    rotation; the returned certificate is deterministic for a given graph
+    regardless of thread count.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
     _check_threads(threads)
     floor = proved_minimum(g, kind)
-    if floor is not None and k < floor:
-        return None
+    if floor is not None:
+        if k < floor:
+            return None
+        answer = _from_proof(g, kind)
+        if answer is not None:
+            members = answer.outcome.certificate.members
+            extra = islice((v for v in range(g.n) if v not in members), k - floor)
+            code = Code(g, members.union(extra))
+            if code.verify(kind):
+                return code
     code, _ = _search_at_size(g, kind, k, threads=threads, progress=progress)
     return code
 

@@ -225,13 +225,14 @@ def test_search_fixed_k_explicit_budget_exit_three(capsys):
 
 
 def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys, monkeypatch):
+    # {1,4} has no stored proof, so the search answers
     monkeypatch.setenv("CIRCODES_BUDGET", "10")
-    code, out, _ = run(capsys, "search", "-n", "19", "--kind", "identifying",
-                       "--k", "7")
+    code, out, _ = run(capsys, "search", "-n", "19", "--offsets", "1,4", "--kind",
+                       "identifying", "--k", "6")
     assert code == 1
-    assert "no identifying code" in out
-    code, out, _ = run(capsys, "search", "-n", "19", "--kind", "identifying",
-                       "--k", "8", "--budget", "19")
+    assert "no identifying code" in out and "(exhaustive)" in out
+    code, out, _ = run(capsys, "search", "-n", "19", "--offsets", "1,4", "--kind",
+                       "identifying", "--k", "7", "--budget", "19")
     assert code == 0
 
 
@@ -288,12 +289,17 @@ def test_search_fixed_k_engine(capsys):
     code, doc = run_json(capsys, "search", "-n", "41", "--kind", "identifying",
                          "--k", "15")
     assert (doc["outcome"]["exists"], doc["outcome"]["engine"]) == (False, "proof")
-    # at the minimum the search runs, and the budget bounds it
+    # at or above the minimum the proof answers too, so no budget applies
     code, doc = run_json(capsys, "search", "-n", "22", "--kind", "identifying",
                          "--k", "8")
-    assert (code, doc["outcome"]["exists"], doc["outcome"]["engine"]) == (0, True, "dfs")
+    assert (code, doc["outcome"]["exists"], doc["outcome"]["engine"]) == (0, True, "proof")
+    assert len(doc["outcome"]["code"]) == 8
     code, doc = run_json(capsys, "search", "-n", "41", "--kind", "identifying",
                          "--k", "16", "--budget", "33")
+    assert (code, doc["outcome"]["engine"], doc["outcome"]["proved"]) == (0, "proof", True)
+    # without a proof the search runs, and the budget bounds it
+    code, doc = run_json(capsys, "search", "-n", "41", "--offsets", "1,4", "--kind",
+                         "identifying", "--k", "16", "--budget", "33")
     assert (code, doc["outcome"]["engine"], doc["outcome"]["proved"]) == (3, "dfs", False)
 
 

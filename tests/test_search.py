@@ -1,6 +1,7 @@
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circodes import search
 from circodes import (
@@ -226,8 +227,7 @@ def test_construction_errors_propagate(monkeypatch):
 
 # (offsets, n, kind, k, examined, pruned_symmetry, pruned_bound, certificate)
 # at the optimum and one below it, as the search counted them before the
-# window-verdict table: the table must change neither counts nor answers.
-# dmax = 2..4 run through the table; dmax = 5 runs the pruning loop alone.
+# verdict cache: cached rows must change neither counts nor answers.
 # pruned_symmetry is live: nonzero on {1,4} and {2,5}.
 DOM, LOC, IDE = Kind.DOMINATING, Kind.LOCATING, Kind.IDENTIFYING
 PINNED = [
@@ -276,32 +276,56 @@ def test_pinned_search_counts(offsets, n, kind, k, examined, sym, bound, cert):
 
 
 def test_window_table_cold_and_warm_agree():
-    g = C(26)
-    search._WINDOW_TABLES.clear()
-    cold = _counts(g, Kind.IDENTIFYING, 9), _counts(g, Kind.IDENTIFYING, 10)
-    table = search._WINDOW_TABLES[((1, 3), Kind.IDENTIFYING)]
-    assert len(table) == 16 * 1024
-    assert any(table)
-    warm = _counts(g, Kind.IDENTIFYING, 9), _counts(g, Kind.IDENTIFYING, 10)
-    assert cold == warm
+    for offsets, n, ks in (((1, 3), 26, (9, 10)), ((1, 5), 22, (7, 8))):
+        g = C(n, offsets)
+        search._VERDICTS.clear()
+        cold = [_counts(g, Kind.IDENTIFYING, k) for k in ks]
+        assert search._VERDICTS[(offsets, Kind.IDENTIFYING)]
+        warm = [_counts(g, Kind.IDENTIFYING, k) for k in ks]
+        assert cold == warm, offsets
 
 
-def test_window_table_matches_pruning_loop(monkeypatch):
-    questions = [((1,), 12), ((1, 2), 17), ((2, 3), 19), ((1, 2, 4), 21),
-                 ((1, 3), 24), ((3, 4), 23)]
-    with_table = [_counts(C(n, offsets), kind, k)
-                  for offsets, n in questions for kind in Kind
-                  for k in range(2, n // 2)]
-    monkeypatch.setattr(search, "WINDOW_TABLE_MAX_DMAX", 0)
-    loop_only = [_counts(C(n, offsets), kind, k)
-                 for offsets, n in questions for kind in Kind
-                 for k in range(2, n // 2)]
-    assert with_table == loop_only
+def _reference_prunes(window, gap, offsets, kind):
+    """Whether placing a member gap after the window's top bit prunes.
+
+    The settled vertices dmax .. pos + gap - dmax need nonempty shadows, and
+    no two of them within 2*dmax may share one (locating: non-members only).
+    """
+    dmax = offsets[-1]
+    pos = window.bit_length() - 1
+    members = {v for v in range(pos + 1) if window >> v & 1} | {pos + gap}
+    pattern = (0,) + tuple(s * d for d in offsets for s in (1, -1))
+    shadow = {v: frozenset(v + p for p in pattern) & members
+              for v in range(dmax, pos + gap - dmax + 1)}
+    if not all(shadow.values()):
+        return True
+    if kind is Kind.DOMINATING:
+        return False
+    return any(shadow[u] == shadow[v] for u in shadow for v in shadow
+               if 0 < v - u <= 2 * dmax
+               and not (kind is Kind.LOCATING and (u in members or v in members)))
 
 
-def test_no_window_table_beyond_dmax_four():
-    assert search._window_table((1, 4), Kind.LOCATING) is not None
-    assert search._window_table((1, 5), Kind.LOCATING) is None
+@st.composite
+def _windows(draw):
+    dmax = draw(st.integers(1, 6))
+    offsets = tuple(sorted({dmax} | draw(st.sets(st.integers(1, dmax)))))
+    # pos < 4*dmax - 1 is a prefix window, pos = 4*dmax - 1 a steady one
+    pos = draw(st.integers(0, 4 * dmax - 1))
+    window = draw(st.integers(0, (1 << pos) - 1)) | 1 << pos
+    return offsets, window, draw(st.sampled_from(list(Kind)))
+
+
+@given(_windows())
+@settings(max_examples=300, deadline=None)
+def test_cached_rows_match_reference(question):
+    offsets, window, kind = question
+    dmax = offsets[-1]
+    pattern = C(4 * dmax + 1, offsets).pattern
+    row = search._prune_row(window, pattern, dmax, kind)
+    expected = sum(1 << gap for gap in range(1, 2 * dmax + 2)
+                   if _reference_prunes(window, gap, offsets, kind))
+    assert row == expected
 
 
 def test_dmax_five_matches_naive_oracle():
@@ -342,7 +366,8 @@ def test_pool_capped_at_partition_count(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     g = C(22)
     assert _counts(g, Kind.LOCATING, 7, threads=1000) == _counts(g, Kind.LOCATING, 7)
-    assert exists_code_of_size(g, Kind.LOCATING, 8, threads=3) is not None
+    # C(12) has no stored proof, so exists_code_of_size searches
+    assert exists_code_of_size(C(12), Kind.LOCATING, 5, threads=3) is not None
     # {1,3} splits into 28 partitions by the first two gaps
     assert _RecordingPool.sizes == [28, 3]
 

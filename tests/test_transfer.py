@@ -13,6 +13,7 @@ from circodes import (
     CirculantGraph,
     Code,
     Kind,
+    identifying_code_for,
     identifying_code_size,
     locating_code_size,
     min_code_size,
@@ -167,8 +168,22 @@ def test_exists_below_the_proved_minimum_does_not_search(monkeypatch):
     g = CirculantGraph(41)
     monkeypatch.setattr(search, "_search_at_size", fail)
     assert search.exists_code_of_size(g, IDE, 15) is None
-    with pytest.raises(AssertionError, match="searched"):
-        search.exists_code_of_size(g, IDE, 16)
+    # at or above the minimum: the construction plus the smallest non-members
+    construction = identifying_code_for(41).members
+    for k in (16, 17, 30, 41):
+        code = search.exists_code_of_size(g, IDE, k)
+        assert len(code) == k and code.verify(IDE).ok
+        assert construction <= code.members
+        assert sorted(code.members - construction) == \
+            sorted(set(range(41)) - construction)[:k - 16]
+
+
+def test_exists_falls_back_to_the_search(monkeypatch):
+    from circodes import constructions
+    monkeypatch.setattr(constructions, "locating_code_for",
+                        lambda n: Code(CirculantGraph(n), range(SIZE[LOC](n))))
+    code = search.exists_code_of_size(CirculantGraph(20), LOC, 9)
+    assert len(code) == 9 and code.is_locating() and 0 in code
 
 
 def test_solver_rejects_dmax_four():
