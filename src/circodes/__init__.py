@@ -48,7 +48,6 @@ from .errors import (
 from .search import (
     BoundReport,
     DEFAULT_SEARCH_BUDGETS,
-    NoneAtSize,
     Optimum,
     SearchResult,
     SearchStats,
@@ -73,7 +72,6 @@ __all__ = [
     "Kind",
     "LOCATING_HEAVY_PROFILES",
     "LOCATING_HEAVY_THRESHOLD",
-    "NoneAtSize",
     "NotInCode",
     "OffsetOutOfRange",
     "Optimum",

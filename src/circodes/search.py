@@ -8,7 +8,8 @@ it has the proved size and passes ``Code.verify``, and
 ``exists_code_of_size`` answers None below the minimum and the construction
 padded with non-members at or above it, with no search and no budget.
 Every other question (dominating codes, n < 13, other offsets) runs the
-exhaustive search below, bounded by the order budget.  The engine follows
+exhaustive search below; ``min_code_size`` bounds it by an order budget,
+``budget=`` or else ``DEFAULT_SEARCH_BUDGETS[kind]``.  The engine follows
 from the question alone.
 
 The searcher walks gap sequences: a code {0, v1, v2, ...} is encoded by the
@@ -42,9 +43,8 @@ on the worker count.
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
 from concurrent.futures import ProcessPoolExecutor
@@ -59,7 +59,6 @@ __all__ = [
     "BoundReport",
     "SearchStats",
     "Optimum",
-    "NoneAtSize",
     "SearchResult",
     "lower_bound",
     "exists_code_of_size",
@@ -67,14 +66,12 @@ __all__ = [
     "naive_min_code_size",
     "proved_minimum",
     "DEFAULT_SEARCH_BUDGETS",
-    "BUDGET_ENV_VAR",
 ]
 
-# Orders up to which the exhaustive search runs by default.  Beyond these,
-# a question the stored proofs do not answer raises BudgetExceeded carrying
-# the lower bound.  Override per call, or globally via the environment variable.
+# Orders up to which min_code_size searches when no budget= is given.
+# Beyond these, a question the stored proofs do not answer raises
+# BudgetExceeded naming the lower bound.
 DEFAULT_SEARCH_BUDGETS = {Kind.LOCATING: 38, Kind.IDENTIFYING: 33, Kind.DOMINATING: 38}
-BUDGET_ENV_VAR = "CIRCODES_BUDGET"
 
 NAIVE_LIMIT = 16
 
@@ -141,7 +138,7 @@ class SearchStats:
             self.examined + other.examined,
             self.pruned_symmetry + other.pruned_symmetry,
             self.pruned_bound + other.pruned_bound,
-            max(self.wall_time, other.wall_time),
+            self.wall_time + other.wall_time,
         )
 
 
@@ -149,11 +146,6 @@ class SearchStats:
 class Optimum:
     size: int
     certificate: Code
-
-
-@dataclass(frozen=True)
-class NoneAtSize:
-    k: int
 
 
 @dataclass(frozen=True)
@@ -167,9 +159,8 @@ class SearchResult:
 
     kind: Kind
     n: int
-    outcome: Optimum | NoneAtSize | None
+    outcome: Optimum | None
     stats: SearchStats
-    proved: bool = True
     note: str = ""
     engine: str = "dfs"
 
@@ -305,8 +296,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    stats = SearchStats(stats.examined, stats.pruned_symmetry, stats.pruned_bound,
-                        time.perf_counter() - t0)
+    stats = replace(stats, wall_time=time.perf_counter() - t0)
     return (Code.from_mask(g, winner) if winner is not None else None), stats
 
 
@@ -346,15 +336,6 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
                 return code
     code, _ = _search_at_size(g, kind, k, threads=threads, progress=progress)
     return code
-
-
-def resolve_budget(kind: Kind, budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEARCH_BUDGETS[kind]
 
 
 def _no_code(g: CirculantGraph, kind: Kind) -> SearchResult | None:
@@ -397,28 +378,24 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     Where a stored proof covers g, the answer is the table construction,
     re-checked by Code.verify, and no budget applies.  Otherwise the search
     iterates k upward from the effective lower bound, so the first hit is
-    optimal.  Orders beyond the budget raise BudgetExceeded whose `partial`
-    carries the lower bound.  When no code exists at all (twin vertices),
-    the outcome is None and the note names a twin pair.
+    optimal.  Orders beyond the budget (DEFAULT_SEARCH_BUDGETS[kind] unless
+    given) raise BudgetExceeded naming the order, the budget and the lower
+    bound.  When no code exists at all (twin vertices), the outcome is None
+    and the note names a twin pair.
     """
     _check_threads(threads)
     answer = _no_code(g, kind) or _from_proof(g, kind)
     if answer is not None:
         return answer
-    limit = resolve_budget(kind, budget)
+    limit = DEFAULT_SEARCH_BUDGETS[kind] if budget is None else budget
     report = lower_bound(g.n, kind, g.offsets)
     if g.n > limit:
-        note = f"order {g.n} exceeds search budget {limit}; lower bound {report.effective}"
-        partial = SearchResult(kind, g.n, NoneAtSize(report.effective - 1), SearchStats(),
-                               proved=False, note=note)
-        raise BudgetExceeded(note, partial=partial)
+        raise BudgetExceeded(f"order {g.n} exceeds search budget {limit}; "
+                             f"lower bound {report.effective}")
     total = SearchStats()
     for k in range(report.effective, g.n + 1):
         code, stats = _search_at_size(g, kind, k, threads=threads, progress=progress)
-        total = SearchStats(total.examined + stats.examined,
-                            total.pruned_symmetry + stats.pruned_symmetry,
-                            total.pruned_bound + stats.pruned_bound,
-                            total.wall_time + stats.wall_time)
+        total = total.merged(stats)
         if code is not None:
             return SearchResult(kind, g.n, Optimum(k, code), total)
     raise AssertionError("unreachable: the full vertex set is valid")

@@ -203,9 +203,8 @@ def test_search_budget_json_partial(capsys):
     assert doc["outcome"]["optimum"] is None
 
 
-def test_search_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("CIRCODES_BUDGET", "10")
-    code, _, err = run(capsys, "search", "-n", "12", "--kind", "locating")
+def test_search_budget_flag_exit_three(capsys):
+    code, _, err = run(capsys, "search", "-n", "12", "--kind", "locating", "--budget", "10")
     assert code == 3
 
 
@@ -224,9 +223,37 @@ def test_search_fixed_k_explicit_budget_exit_three(capsys):
     assert "exceeds search budget 33" in doc["outcome"]["note"]
 
 
-def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys, monkeypatch):
+@pytest.mark.parametrize("k, fmt", [("0", ()), ("41", ("--json",))])
+def test_search_fixed_k_out_of_range_exit_two(capsys, k, fmt):
+    # k is checked before the budget, with the library's message
+    code, out, err = run(capsys, "search", "-n", "40", "--offsets", "1,4", "--kind",
+                         "locating", "--k", k, "--budget", "30", *fmt)
+    assert code == 2
+    assert out == ""
+    assert f"k must be within 1..40, got {k}" in err
+
+
+def test_search_progress(capsys):
+    def answer(*flags):
+        code, out, err = run(capsys, "search", "-n", "12", "--kind", "locating",
+                             "--json", *flags)
+        doc = json.loads(out)
+        del doc["timing"], doc["outcome"]["stats"]["wall_time"]
+        return code, doc, err
+
+    code, plain, err = answer()
+    assert code == 0 and err == ""
+    code, doc, err = answer("--progress")
+    assert code == 0
+    assert doc == plain
+    assert err and all("candidates" in line for line in err.splitlines())
+    # the stored proof answers n = 13: no search runs, so nothing is reported
+    code, _, err = run(capsys, "search", "-n", "13", "--kind", "locating", "--progress")
+    assert code == 0 and err == ""
+
+
+def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys):
     # {1,4} has no stored proof, so the search answers
-    monkeypatch.setenv("CIRCODES_BUDGET", "10")
     code, out, _ = run(capsys, "search", "-n", "19", "--offsets", "1,4", "--kind",
                        "identifying", "--k", "6")
     assert code == 1
@@ -240,7 +267,6 @@ def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys, monkeypatch)
     ("search", "-n", "13", "--kind", "locating"),
     ("search", "-n", "13", "--kind", "locating", "--k", "5"),
     ("search", "-n", "41", "--kind", "locating", "--k", "14", "--budget", "33"),
-    ("table", "--kind", "locating", "--from", "40", "--to", "41"),
 ])
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_threads_below_one_exit_two(capsys, argv, threads):
@@ -332,12 +358,14 @@ def test_table_match_column(capsys):
 
 
 def test_table_engine_and_budget(capsys):
-    # the budget bounds the search only: proved orders get their optimum anyway
+    # the search answers below 13, the stored proof from 13 on; table takes
+    # no budget or threads, so its parameters leave both unset
     code, doc = run_json(capsys, "table", "--kind", "locating", "--from", "11",
-                         "--to", "14", "--budget", "11")
+                         "--to", "14")
     assert code == 0
     assert [(r["n"], r["optimum"], r["engine"]) for r in doc["outcome"]["rows"]] == [
-        (11, 4, "dfs"), (12, None, None), (13, 5, "proof"), (14, 6, "proof")]
+        (11, 4, "dfs"), (12, 5, "dfs"), (13, 5, "proof"), (14, 6, "proof")]
+    assert (doc["parameters"]["budget"], doc["parameters"]["threads"]) == (None, None)
 
 
 def test_table_csv(capsys):

@@ -8,7 +8,6 @@ from circodes import (
     BudgetExceeded,
     CirculantGraph,
     Kind,
-    NoneAtSize,
     Optimum,
     OracleTooLarge,
     exists_code_of_size,
@@ -96,7 +95,6 @@ def test_small_locating_minima():
         assert isinstance(result.outcome, Optimum)
         assert result.outcome.size == k, n
         assert result.outcome.certificate.is_locating()
-        assert result.proved
 
 
 def test_small_identifying_minima():
@@ -139,28 +137,20 @@ def test_dominating_minimum():
 
 # -- budget handling -----------------------------------------------------------
 
-def test_budget_exceeded_carries_partial():
+def test_budget_exceeded_names_order_budget_and_bound():
     # {1,4} has no stored proof, so its orders stay with the budgeted search
     with pytest.raises(BudgetExceeded) as exc_info:
         min_code_size(C(60, (1, 4)), Kind.IDENTIFYING)
-    partial = exc_info.value.partial
-    assert partial is not None
-    assert not partial.proved
-
-
-def test_budget_override_allows_larger_n(monkeypatch):
-    monkeypatch.setenv("CIRCODES_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        min_code_size(C(12), Kind.LOCATING)
-    monkeypatch.delenv("CIRCODES_BUDGET")
-    assert min_code_size(C(12), Kind.LOCATING, budget=12).outcome.size == 5
-
-
-def test_partial_without_construction_reports_bound():
+    assert str(exc_info.value) == "order 60 exceeds search budget 33; lower bound 20"
     with pytest.raises(BudgetExceeded) as exc_info:
         min_code_size(C(40, (1, 4)), Kind.LOCATING, budget=20)
-    partial = exc_info.value.partial
-    assert partial is not None and not partial.proved
+    assert str(exc_info.value) == "order 40 exceeds search budget 20; lower bound 12"
+
+
+def test_budget_override_allows_larger_n():
+    with pytest.raises(BudgetExceeded):
+        min_code_size(C(12), Kind.LOCATING, budget=10)
+    assert min_code_size(C(12), Kind.LOCATING, budget=12).outcome.size == 5
 
 
 # -- graphs with twin vertices -------------------------------------------------
@@ -173,7 +163,6 @@ def test_no_identifying_code_with_twins(n, offsets, pair):
     g = C(n, offsets)
     for result in (min_code_size(g, Kind.IDENTIFYING), naive_min_code_size(g, Kind.IDENTIFYING)):
         assert result.outcome is None
-        assert result.proved
         assert f"vertices {pair[0]} and {pair[1]} have equal closed neighbourhoods" \
             in result.note
     for k in range(1, n + 1):
