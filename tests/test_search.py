@@ -137,11 +137,15 @@ def test_dominating_minimum():
 
 # -- budget handling -----------------------------------------------------------
 
-def test_budget_exceeded_names_order_budget_and_bound():
-    # {1,4} has no stored proof, so its orders stay with the budgeted search
+def test_budget_exceeded_carries_partial():
+    # {1,4} has no stored proof, so its orders stay with the budgeted search;
+    # what is known short of a search is the order, the budget and the bound
     with pytest.raises(BudgetExceeded) as exc_info:
         min_code_size(C(60, (1, 4)), Kind.IDENTIFYING)
     assert str(exc_info.value) == "order 60 exceeds search budget 33; lower bound 20"
+
+
+def test_partial_without_construction_reports_bound():
     with pytest.raises(BudgetExceeded) as exc_info:
         min_code_size(C(40, (1, 4)), Kind.LOCATING, budget=20)
     assert str(exc_info.value) == "order 40 exceeds search budget 20; lower bound 12"
