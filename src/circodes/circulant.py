@@ -8,8 +8,9 @@ min(|x-y|, n-|x-y|) is one of the offsets d_i.  Offsets must satisfy
 A graph stores only n, its offsets and its closed pattern
 (0, +d_1, -d_1, ..., +d_k, -d_k): N[u] is u plus the pattern, mod n, so
 every neighbourhood query costs O(degree) and a graph costs O(k) memory
-whatever n is.  The per-vertex closed-neighbourhood bitmasks that the
-exhaustive search reads at small n are built on first access only.
+whatever n is.  No library code reads per-vertex closed-neighbourhood
+bitmasks; ``_closed_masks`` builds them on first access for the
+benchmark's trace counter (``bench/spans.py``) only.
 
 Vertex subsets are handled as int bitmasks (bit u set means vertex u is
 in the set); ``mask_of`` and ``set_of`` convert in linear time.

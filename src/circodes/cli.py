@@ -77,11 +77,15 @@ def _parse_code_arg(text: str) -> list[int]:
     return _parse_ints(text, "code")
 
 
+# The v1 parameters every command reports, null unless the command sets them.
+PARAMETER_KEYS = ("n", "offsets", "kind", "k", "budget", "threads", "seed")
+
+
 def _manifest(command: str, params: dict, outcome: dict, t0: float) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
-        "parameters": params,
+        "parameters": dict.fromkeys(PARAMETER_KEYS) | params,
         "outcome": outcome,
         "timing": {"seconds": round(time.perf_counter() - t0, 6)},
     }
@@ -148,8 +152,7 @@ def cmd_verify(args) -> int:
                          + (", ".join(f"{u} profile {p}" for u, p in heavy.items())
                             or "none"))
     params = {"n": args.n, "offsets": offsets, "kind": kind.value,
-              "code": sorted(set(members)), "k": None, "budget": None,
-              "threads": None, "seed": None}
+              "code": sorted(set(members))}
     _emit(_manifest("verify", params, outcome, t0), args.json, lines)
     return EXIT_OK if result.ok else EXIT_INVALID
 
@@ -176,8 +179,7 @@ def cmd_construct(args) -> int:
     }
     lines = [f"C({args.n};1,3) {kind.value} code: {sorted(code.members)}",
              f"size {len(code)}, verification: {result.status.value}"]
-    params = {"n": args.n, "offsets": [1, 3], "kind": kind.value, "k": None,
-              "budget": None, "threads": None, "seed": None}
+    params = {"n": args.n, "offsets": [1, 3], "kind": kind.value}
     _emit(_manifest("construct", params, outcome, t0), args.json, lines)
     return EXIT_OK if result.ok else EXIT_INVALID
 
@@ -198,7 +200,7 @@ def cmd_search(args) -> int:
     g = CirculantGraph(args.n, offsets)
     progress = _progress_printer(args.progress)
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
-              "budget": args.budget, "threads": args.threads, "seed": None}
+              "budget": args.budget}
     if args.k is not None:
         if not 1 <= args.k <= args.n:
             raise UsageError(f"k must be within 1..{args.n}, got {args.k}")
@@ -215,8 +217,7 @@ def cmd_search(args) -> int:
             else:
                 print(f"budget exceeded: {note}", file=sys.stderr)
             return EXIT_BUDGET
-        code = exists_code_of_size(g, kind, args.k, threads=args.threads,
-                                   progress=progress)
+        code = exists_code_of_size(g, kind, args.k, progress=progress)
         if code is not None:
             outcome = {"exists": True, "size": args.k, "code": sorted(code.members)}
             lines = [f"C({args.n};{args.offsets}) has a {kind.value} code of size "
@@ -230,8 +231,7 @@ def cmd_search(args) -> int:
         _emit(_manifest("search", params, outcome, t0), args.json, lines)
         return EXIT_OK if code is not None else EXIT_INVALID
     try:
-        result = min_code_size(g, kind, budget=args.budget, threads=args.threads,
-                               progress=progress)
+        result = min_code_size(g, kind, budget=args.budget, progress=progress)
     except BudgetExceeded as exc:
         outcome = {"optimum": None, "note": str(exc), "engine": "dfs", "proved": False}
         _emit(_manifest("search", params, outcome, t0), args.json,
@@ -297,9 +297,7 @@ def cmd_table(args) -> int:
         rows.append({"n": n, "lower_bound": bounds.effective,
                      "construction": construction, "optimum": optimum,
                      "match": match, "engine": engine})
-    params = {"n": None, "offsets": [1, 3], "kind": kind.value, "k": None,
-              "budget": None, "threads": None, "seed": None,
-              "range": [args.n_from, args.n_to]}
+    params = {"offsets": [1, 3], "kind": kind.value, "range": [args.n_from, args.n_to]}
     if args.csv:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["n", "lower_bound", "construction",
@@ -342,9 +340,8 @@ def cmd_density(args) -> int:
     rel = "meets" if floor and rho >= floor else "below"
     lines = [f"{p!r}: density {_fraction_str(rho)}, {result.status.value}"
              + (f", {rel} the {_fraction_str(floor)} floor" if floor else "")]
-    params = {"n": None, "offsets": [1, 3], "kind": kind.value, "k": None,
-              "budget": None, "threads": None, "seed": None,
-              "period": args.period, "residues": sorted(set(residues))}
+    params = {"offsets": [1, 3], "kind": kind.value, "period": args.period,
+              "residues": sorted(set(residues))}
     _emit(_manifest("density", params, outcome, t0), args.json, lines)
     return EXIT_OK if result.ok else EXIT_INVALID
 
@@ -353,8 +350,10 @@ def cmd_prove(args) -> int:
     t0 = time.perf_counter()
     kind = _parse_kind(args.kind)
     offsets = tuple(sorted(_parse_ints(args.offsets, "offsets")))
+    if not offsets or offsets[0] < 1:
+        raise UsageError(f"prove needs one or more positive offsets, got {args.offsets!r}")
     from . import transfer  # the solver loads only here
-    if not offsets or offsets[-1] > transfer.MAX_DMAX:
+    if offsets[-1] > transfer.MAX_DMAX:
         raise UsageError(f"prove needs offsets with a largest offset of at most "
                          f"{transfer.MAX_DMAX}, got {list(offsets)}")
     proof = transfer.solve(offsets, kind)
@@ -380,8 +379,7 @@ def cmd_prove(args) -> int:
              + " ".join("-" if m is None else str(m) for m in proof.minima),
              {None: "no stored proof", True: "matches the stored proof",
               False: "DIFFERS from the stored proof"}[matches]]
-    params = {"n": None, "offsets": list(offsets), "kind": kind.value, "k": None,
-              "budget": None, "threads": None, "seed": None}
+    params = {"offsets": list(offsets), "kind": kind.value}
     _emit(_manifest("prove", params, outcome, t0), args.json, lines)
     return EXIT_INVALID if matches is False else EXIT_OK
 
@@ -420,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="test one size only")
     p.add_argument("--budget", type=int, default=None,
                    help="largest order searched exhaustively")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--progress", action="store_true",
                    help="report candidate throughput on stderr")
     p.add_argument("--json", action="store_true")
@@ -462,8 +459,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,10 +35,10 @@ each copy's settled vertices: domination, then the pairs of the copies that
 passed.  Vertices settled earlier pass again, as they did when they
 settled, so the counts are those of checking the new vertices alone.
 
-Partitions by the first two gaps are independent, which gives deterministic
-multiprocess parallelism: results merge in partition order up to the first
-partition holding a code, so neither the certificate nor the counts depend
-on the worker count.
+The search runs in one process.  It walks the partitions by the first two
+gaps in order, replaying each fixed prefix through the same verdicts, and
+stops at the first partition holding a code; the partitions fix the
+certificate, the counts and how often ``progress`` reports.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice
-from concurrent.futures import ProcessPoolExecutor
 
 from . import constructions
 from .circulant import CirculantGraph
@@ -76,8 +75,7 @@ DEFAULT_SEARCH_BUDGETS = {Kind.LOCATING: 38, Kind.IDENTIFYING: 33, Kind.DOMINATI
 NAIVE_LIMIT = 16
 
 # (offsets, kind) -> {window: row with bit g set for each gap g that prunes}.
-# A cache of a pure function: a forked worker inherits it warm, a spawned
-# one fills its own.
+# A cache of a pure function, kept for the life of the process.
 _VERDICTS: dict[tuple[tuple[int, ...], Kind], dict[int, int]] = {}
 
 
@@ -192,12 +190,9 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     return BoundReport(general, specific, effective)
 
 
-def _search_partition(n, offsets, kind, k, prefix):
-    """Exhaust one gap-prefix partition.  Returns (members | None, stats tuple).
-
-    Runs in worker processes; arguments and results stay picklable.
-    """
-    pattern = CirculantGraph(n, offsets).pattern
+def _search_partition(g: CirculantGraph, kind: Kind, k: int, prefix):
+    """Exhaust one gap-prefix partition.  Returns (members | None, SearchStats)."""
+    n, offsets, pattern = g.n, g.offsets, g.pattern
     dmax = offsets[-1]
     cap = 2 * dmax + 1
     steady = 4 * dmax - 1
@@ -249,7 +244,7 @@ def _search_partition(n, offsets, kind, k, prefix):
         pos, count, mask, g0 = pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap
     else:
         dfs(pos, count, mask, g0)
-    stats = (examined, pruned_sym, pruned_bound, time.perf_counter() - t0)
+    stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0)
     return (found[0] if found else None), stats
 
 
@@ -259,12 +254,7 @@ def _partitions(k: int, cap: int):
     return [(g0, g1) for g0 in range(1, cap + 1) for g1 in range(g0, cap + 1)]
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-
-def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
+def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
                     progress=None) -> tuple[Code | None, SearchStats]:
     n = g.n
     if k >= n:
@@ -272,30 +262,14 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int, threads: int = 1,
         valid = next(defects(n, (1 << n) - 1, g.pattern, kind), None) is None
         return (Code(g, range(n)) if valid else None), SearchStats()
     t0 = time.perf_counter()
-    cap = 2 * g.offsets[-1] + 1
-    parts = _partitions(k, cap)
     stats = SearchStats()
-    winner = None
-    pool = None
-    if threads <= 1 or len(parts) <= 1:
-        results = (_search_partition(n, g.offsets, kind, k, p) for p in parts)
-    else:
-        pool = ProcessPoolExecutor(max_workers=min(threads, len(parts)))
-        futures = [pool.submit(_search_partition, n, g.offsets, kind, k, p) for p in parts]
-        results = (future.result() for future in futures)
-    try:
-        # partition order up to the first winner: the certificate and the
-        # counts are those of threads=1
-        for mask, st in results:
-            stats = stats.merged(SearchStats(*st))
-            if progress is not None:
-                progress(stats.examined, time.perf_counter() - t0)
-            if mask is not None:
-                winner = mask
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for prefix in _partitions(k, 2 * g.offsets[-1] + 1):
+        winner, st = _search_partition(g, kind, k, prefix)
+        stats = stats.merged(st)
+        if progress is not None:
+            progress(stats.examined, time.perf_counter() - t0)
+        if winner is not None:
+            break
     stats = replace(stats, wall_time=time.perf_counter() - t0)
     return (Code.from_mask(g, winner) if winner is not None else None), stats
 
@@ -310,19 +284,17 @@ def proved_minimum(g: CirculantGraph, kind: Kind) -> int | None:
 
 
 def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
-                        threads: int = 1, progress=None) -> Code | None:
+                        progress=None) -> Code | None:
     """Find a valid code of size exactly k, or certify none exists.
 
     Where a stored proof covers g, no search runs: below the proved minimum
     the answer is None, and at or above it the table construction plus the
     k - minimum smallest non-members, once Code.verify passes (adding
     vertices keeps a code valid).  Otherwise it exhausts all k-subsets up to
-    rotation; the returned certificate is deterministic for a given graph
-    regardless of thread count.
+    rotation; the returned certificate is deterministic for a given graph.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
-    _check_threads(threads)
     floor = proved_minimum(g, kind)
     if floor is not None:
         if k < floor:
@@ -334,7 +306,7 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
             code = Code(g, members.union(extra))
             if code.verify(kind):
                 return code
-    code, _ = _search_at_size(g, kind, k, threads=threads, progress=progress)
+    code, _ = _search_at_size(g, kind, k, progress=progress)
     return code
 
 
@@ -382,11 +354,19 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     given) raise BudgetExceeded naming the order, the budget and the lower
     bound.  When no code exists at all (twin vertices), the outcome is None
     and the note names a twin pair.
+
+    The search runs in one process.  ``threads`` stays for callers that
+    pass it on questions a proof answers: below 1 it is rejected at once,
+    and above 1 wherever a search would start, never silently ignored.
     """
-    _check_threads(threads)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     answer = _no_code(g, kind) or _from_proof(g, kind)
     if answer is not None:
         return answer
+    if threads > 1:
+        raise ValueError(f"threads must be 1: the search runs in one process, "
+                         f"got {threads}")
     limit = DEFAULT_SEARCH_BUDGETS[kind] if budget is None else budget
     report = lower_bound(g.n, kind, g.offsets)
     if g.n > limit:
@@ -394,7 +374,7 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
                              f"lower bound {report.effective}")
     total = SearchStats()
     for k in range(report.effective, g.n + 1):
-        code, stats = _search_at_size(g, kind, k, threads=threads, progress=progress)
+        code, stats = _search_at_size(g, kind, k, progress=progress)
         total = total.merged(stats)
         if code is not None:
             return SearchResult(kind, g.n, Optimum(k, code), total)

@@ -268,12 +268,15 @@ def test_search_fixed_k_runs_unbudgeted_without_budget_flag(capsys):
     ("search", "-n", "13", "--kind", "locating", "--k", "5"),
     ("search", "-n", "41", "--kind", "locating", "--k", "14", "--budget", "33"),
 ])
-@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("threads", ["0", "-2", "2"])
 def test_threads_below_one_exit_two(capsys, argv, threads):
-    code, out, err = run(capsys, *argv, "--threads", threads)
-    assert code == 2
-    assert out == ""
-    assert "--threads must be at least 1" in err
+    # search has no --threads option, whatever the value: it runs in one process
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--threads={threads}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: --threads={threads}" in captured.err
 
 
 @pytest.mark.parametrize("n, offsets, pair", [("5", "1,2", "0 and 1"), ("3", "1", "0 and 1"),
@@ -415,12 +418,39 @@ def test_prove_differing_stored_proof_exit_one(capsys, monkeypatch):
     assert "DIFFERS" in out
 
 
+@pytest.mark.parametrize("offsets", ["0,2", "-1,3", ",", ""])
+def test_prove_rejects_empty_or_nonpositive_offsets(capsys, offsets):
+    code, out, err = run(capsys, "prove", "--kind", "locating", f"--offsets={offsets}")
+    assert code == 2
+    assert out == ""
+    assert f"prove needs one or more positive offsets, got {offsets!r}" in err
+
+
 @pytest.mark.parametrize("offsets", ["1,4", "2,5"])
 def test_prove_rejects_dmax_above_three(capsys, offsets):
     code, out, err = run(capsys, "prove", "--kind", "locating", "--offsets", offsets)
     assert code == 2
     assert out == ""
     assert "largest offset of at most 3" in err
+
+
+# -- JSON parameters ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, extras", [
+    (("verify", "-n", "14", "--code", "0,1,6,7,12,13", "--kind", "locating"), {"code"}),
+    (("construct", "-n", "14", "--kind", "locating"), set()),
+    (("search", "-n", "12", "--kind", "locating"), set()),
+    (("search", "-n", "14", "--kind", "locating", "--k", "5"), set()),
+    (("table", "--kind", "locating", "--from", "11", "--to", "13"), {"range"}),
+    (("density", "--period", "6", "--residues", "0,1", "--kind", "locating"),
+     {"period", "residues"}),
+    (("prove", "--kind", "locating", "--offsets", "1,2"), set()),
+])
+def test_json_parameters_keys(capsys, argv, extras):
+    _, doc = run_json(capsys, *argv)
+    v1 = {"n", "offsets", "kind", "k", "budget", "threads", "seed"}
+    assert set(doc["parameters"]) == v1 | extras
+    assert doc["parameters"]["threads"] is None
 
 
 # -- density --------------------------------------------------------------------
