@@ -139,14 +139,14 @@ def cmd_verify(args) -> int:
             print(f"note: {' and '.join('--' + w for w in wanted)} skipped: "
                   f"the code is {result.status.value}", file=sys.stderr)
     elif wanted:
-        shares = {u: code.share(u) for u in sorted(code.members)}
         if args.shares:
-            outcome["shares"] = {str(u): _fraction_str(s) for u, s in shares.items()}
-            outcome["sum_of_shares"] = _fraction_str(sum(shares.values(), Fraction(0)))
-            lines += [f"  share[{u}] = {_fraction_str(s)}" for u, s in shares.items()]
+            shares = {str(u): _fraction_str(code.share(u)) for u in sorted(code.members)}
+            outcome["shares"] = shares
+            outcome["sum_of_shares"] = _fraction_str(code.sum_of_shares())
+            lines += [f"  share[{u}] = {s}" for u, s in shares.items()]
             lines.append(f"  sum of shares = {outcome['sum_of_shares']}")
         if thr is not None:
-            heavy = {u: code.profile(u) for u, s in shares.items() if s > thr}
+            heavy = {u: code.profile(u) for u in code.heavy_vertices(thr)}
             outcome["heavy"] = {str(u): list(p) for u, p in heavy.items()}
             lines.append(f"  heavy (share > {_fraction_str(thr)}): "
                          + (", ".join(f"{u} profile {p}" for u, p in heavy.items())

@@ -23,21 +23,34 @@ search asks it whether a leaf is valid, and ``verify_periodic`` runs it on
 a finite lift of the periodic code.
 
 Shares are exact rationals (`fractions.Fraction`): the thresholds used by
-the heavy-vertex classifiers (3 and 11/4) must be compared exactly.  The
-shadow sizes behind them come from one sum of rotated membership digits,
-computed once per code.
+the heavy-vertex classifiers (3 and 11/4) must be compared exactly.  Every
+share is a multiple of 1/L, L = lcm(1..degree+1), so a code keeps two
+whole-code tables, each built once by one helper, ``_rotated_sum``: a
+string of per-vertex digits, summed over its rotations by the pattern.
+
+* Shadow sizes: the membership digits summed over P give |S & (x + P)|.
+* Share units: each size s mapped to L // s, summed over P, give
+  L * share(u) for every u (entries of vertices with empty shadows count
+  0, so every member's entry is exact in any code).
+
+Readers index the tables: ``share`` makes one ``Fraction``,
+``sum_of_shares`` adds the members' entries, and ``heavy_vertices``
+compares each entry with floor(threshold * L) as integers.  The code's
+mask is packed while its members are validated, in one pass.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .circulant import CirculantGraph, mask_of, set_of
+from .circulant import CirculantGraph, set_of
 from .errors import NotInCode, ShareUndefined
 
 __all__ = [
@@ -110,18 +123,29 @@ class Code:
         members = frozenset(self.members)
         object.__setattr__(self, "members", members)
         n = self.graph.n
-        if not (all(type(v) is int for v in members)
-                and 0 <= min(members, default=0) and max(members, default=0) < n):
-            for v in members:
-                self.graph.check_vertex(v)  # raises on the offending vertex
+        digits = bytearray(b"0") * n
+        for v in members:
+            if type(v) is not int or not 0 <= v < n:
+                self.graph.check_vertex(v)  # raises, unless v is an int subclass
+            digits[v] = 49  # ord("1")
+        digits.reverse()  # a base-2 numeral, vertex 0 last
+        object.__setattr__(self, "mask", int(digits, 2))
 
     @classmethod
     def from_mask(cls, graph: CirculantGraph, mask: int) -> "Code":
-        return cls(graph, set_of(mask))
+        """The code of the set bits of ``mask``, which it keeps as its mask."""
+        members = set_of(mask)
+        if mask >> graph.n:
+            return cls(graph, members)  # raises on the first member past n - 1
+        code = cls.__new__(cls)
+        object.__setattr__(code, "graph", graph)
+        object.__setattr__(code, "members", members)
+        object.__setattr__(code, "mask", mask)
+        return code
 
-    @cached_property
-    def mask(self) -> int:
-        return mask_of(self.members)
+    def __reduce__(self):
+        # the cached tables are memoryviews, which do not pickle
+        return type(self), (self.graph, self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -141,33 +165,22 @@ class Code:
 
     @cached_property
     def _shadow_sizes(self) -> Sequence[int]:
-        """|shadow(x)| for every vertex x, indexed by x.
-
-        One digit per vertex holds its membership bit; the sum of the
-        digit strings rotated by each pattern element counts, in digit x,
-        the members of x + P.  Digits are wide enough that no sum carries.
-        """
+        """|shadow(x)| for every vertex x, indexed by x."""
         g = self.graph
         n = g.n
-        width = (len(g.pattern).bit_length() + 7) // 8
+        width = _digit_width(len(g.pattern))
         digits = bytearray(n * width)
-        for v in self.members:
-            digits[v * width] = 1
-        digits = bytes(digits)
-        total = 0
-        for p in g.pattern:
-            k = (p % n) * width
-            total += int.from_bytes(digits[k:] + digits[:k], "little")
-        sizes = total.to_bytes(n * width, "little")
-        if width == 1:
-            return sizes
-        return [int.from_bytes(sizes[i:i + width], "little")
-                for i in range(0, n * width, width)]
+        low = 0 if _ORDER == "little" else width - 1  # a digit's low byte
+        # byte x of the reversed numeral is 1 iff x is a member
+        digits[low::width] = f"{self.mask:0{n}b}".encode()[::-1].translate(_BITS)
+        return _rotated_sum(digits, width, g.pattern, n)
 
     def profile(self, u: int) -> tuple[int, ...]:
         """Shadow sizes over N[u], in ascending order."""
+        self.graph.check_vertex(u)
         sizes = self._shadow_sizes
-        return tuple(sorted(sizes[x] for x in self.graph.closed_neighborhood(u)))
+        n = self.graph.n
+        return tuple(sorted([sizes[(u + p) % n] for p in self.graph.pattern]))
 
     # -- shares ----------------------------------------------------------
 
@@ -176,43 +189,57 @@ class Code:
         """L = lcm(1..degree+1): every share is an integer multiple of 1/L."""
         return math.lcm(*range(1, len(self.graph.pattern) + 1))
 
-    def _share_units(self, u: int) -> int:
-        """L times the share of u: the sum of L // |shadow(x)| over x in N[u]."""
-        sizes = self._shadow_sizes
+    @cached_property
+    def _share_units(self) -> Sequence[int]:
+        """L times the share of u, for every vertex u, indexed by u.
+
+        Each shadow size s maps to the digit L // s (0 for an empty shadow),
+        and the digits summed over N[u] = u + P give L * share(u).  A member
+        u lies in the shadow of every x in N[u], so its entry never meets an
+        empty shadow.
+        """
+        g = self.graph
         scale = self._share_scale
-        n = self.graph.n
-        total = 0
-        for p in self.graph.pattern:
-            x = (u + p) % n
-            size = sizes[x]
-            if size == 0:
-                raise ShareUndefined(f"vertex {x} has an empty shadow")
-            total += scale // size
-        return total
+        sizes = self._shadow_sizes
+        width = _digit_width(len(g.pattern) * scale)
+        digit = [(scale // s if s else 0).to_bytes(width, _ORDER)
+                 for s in range(len(g.pattern) + 1)]
+        if isinstance(sizes, bytes):
+            # one byte per size: translate maps every vertex at once, a byte
+            # of the digit at a time
+            units = bytearray(g.n * width)
+            for j in range(width):
+                units[j::width] = sizes.translate(bytes(d[j] for d in digit).ljust(256, b"\0"))
+        else:
+            units = b"".join(map(digit.__getitem__, sizes))
+        return _rotated_sum(units, width, g.pattern, g.n)
 
     def share(self, u: int) -> Fraction:
         """Sum of 1/|shadow(x)| over x in N[u], for a code vertex u.
 
-        Defined only for members of a dominating code; the empty-shadow
-        and non-member cases raise rather than returning a junk value.
+        Every x in N[u] has u in its shadow, so a member's share exists in
+        any code, dominating or not; a non-member raises ``NotInCode``.
         """
         self.graph.check_vertex(u)
         if u not in self.members:
             raise NotInCode(f"vertex {u} is not in the code")
-        return Fraction(self._share_units(u), self._share_scale)
+        return Fraction(self._share_units[u], self._share_scale)
 
     def sum_of_shares(self) -> Fraction:
         """Total share of all code vertices; equals n for dominating codes."""
         if not self.is_dominating():
             raise ShareUndefined("shares are only defined for dominating codes")
-        return Fraction(sum(map(self._share_units, self.members)), self._share_scale)
+        units = self._share_units
+        return Fraction(sum([units[u] for u in self.members]), self._share_scale)
 
     def heavy_vertices(self, threshold: Fraction | int) -> list[int]:
         """Code vertices whose share strictly exceeds the threshold."""
         if not self.is_dominating():
             raise ShareUndefined("shares are only defined for dominating codes")
-        limit = threshold * self._share_scale
-        return [u for u in sorted(self.members) if self._share_units(u) > limit]
+        # units are integers: units > threshold * L iff units > floor(threshold * L)
+        limit = math.floor(threshold * self._share_scale)
+        units = self._share_units
+        return sorted([u for u in self.members if units[u] > limit])
 
     # -- verification ------------------------------------------------------
 
@@ -251,6 +278,40 @@ class Code:
 
 def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+# Tables are strings of fixed-width digits in the machine's byte order, so
+# that memoryview.cast reads them; _FORMATS maps a width to its format.
+_ORDER = sys.byteorder
+_FORMATS = {struct.calcsize(f): f for f in "QIHB"}
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digit_width(top: int) -> int:
+    """Bytes per digit for values up to ``top``: a power of two."""
+    return 1 << ((top.bit_length() + 7) // 8 - 1).bit_length()
+
+
+def _rotated_sum(digits: bytes, width: int, pattern: tuple[int, ...], n: int) -> Sequence[int]:
+    """Digit x of the result is the sum of digits x + p (mod n) over p in P.
+
+    ``digits`` holds n digits of ``width`` bytes, wide enough that no sum
+    carries into the next digit, so one sum of big integers adds every
+    digit at once.  The result is indexed by x.
+    """
+    size = n * width
+    doubled = memoryview(digits * 2)
+    total = 0
+    for p in pattern:
+        k = (p % n) * width
+        total += int.from_bytes(doubled[k:k + size], _ORDER)
+    out = total.to_bytes(size, _ORDER)
+    if width == 1:
+        return out
+    if width in _FORMATS:
+        return memoryview(out).cast(_FORMATS[width])
+    # wider than any memoryview format: share units from degree 42 up
+    return [int.from_bytes(out[i:i + width], _ORDER) for i in range(0, size, width)]
 
 
 @lru_cache(maxsize=64)

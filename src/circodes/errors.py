@@ -22,7 +22,7 @@ class NotInCode(CircodesError, ValueError):
 
 
 class ShareUndefined(CircodesError, ValueError):
-    """Share arithmetic hit an empty shadow (code is not dominating)."""
+    """Shares summed or compared on a code that is not dominating."""
 
 
 class UnsupportedOrder(CircodesError, ValueError):

@@ -1,4 +1,6 @@
+import pickle
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from circodes import (
     NotInCode,
     ShareUndefined,
     Status,
+    VertexOutOfRange,
     heavy_profile_violations,
     locating_code_for,
 )
@@ -289,3 +292,68 @@ def test_verify_memory_is_linear_in_n():
     # Per-vertex neighbourhood masks would need n * n / 8 bytes (125 GB);
     # the whole-code kernel holds a few dozen n-bit integers.
     assert peak < 16 * 2**20
+
+
+# -- ingestion ------------------------------------------------------------------
+
+class Vertex(IntEnum):
+    TWO = 2
+    PAST_END = 13
+
+
+ODD_MEMBERS = [True, -1, 13, 2.0, "3", Vertex.PAST_END]
+
+
+def first_rejection(g, members):
+    """The message of check_vertex on the first member it rejects, in iteration order."""
+    for v in members:
+        try:
+            g.check_vertex(v)
+        except VertexOutOfRange as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("odd", ODD_MEMBERS)
+def test_member_validation_names_the_first_rejected_member(odd):
+    g = C(13)
+    lone = frozenset([odd])
+    # 0 hashes to slot 0 and is inserted first, so it is iterated first
+    crowd = frozenset([0, 4, 5, 9, 11, odd])
+    assert next(iter(crowd)) != odd
+    for members in (lone, crowd, frozenset([0, 4, 5, *ODD_MEMBERS])):
+        expected = first_rejection(g, members)
+        assert expected is not None
+        with pytest.raises(VertexOutOfRange) as info:
+            Code(g, members)
+        assert str(info.value) == expected
+    assert first_rejection(g, crowd) == f"vertex {odd!r} not in 0..12"
+
+
+def test_int_subclass_members_are_accepted():
+    g = C(13)
+    for members in ([Vertex.TWO], [0, Vertex.TWO, 5, 9, 11]):
+        code = Code(g, members)
+        plain = Code(g, map(int, members))
+        assert code.mask == plain.mask == sum(1 << v for v in members)
+        assert code == plain
+
+
+def test_from_mask_keeps_its_mask():
+    g = C(200)
+    mask = 1 | 1 << 3 | 1 << 150
+    code = Code.from_mask(g, mask)
+    assert code.mask is mask
+    assert code == Code(g, {0, 3, 150})
+    with pytest.raises(VertexOutOfRange, match=r"vertex 200 not in 0\.\.199"):
+        Code.from_mask(g, mask | 1 << 200)
+    with pytest.raises(ValueError):
+        Code.from_mask(g, -1)
+
+
+def test_code_pickles_after_shares():
+    code = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
+    shares = [code.share(u) for u in sorted(code.members)]
+    copy = pickle.loads(pickle.dumps(code))
+    assert copy == code and copy.mask == code.mask
+    assert [copy.share(u) for u in sorted(copy.members)] == shares

@@ -8,9 +8,10 @@ exact (no tolerances), so shrinking produces readable counterexamples.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from circodes import CirculantGraph, Code, Kind, Status
+from circodes import CirculantGraph, Code, Kind, ShareUndefined, Status
 from circodes.codes import defects
 
 settings.register_profile("default", deadline=None, max_examples=150)
@@ -203,3 +204,60 @@ def test_witnesses_are_verifiable(gc):
             assert code.shadow(u) == code.shadow(v)
         else:
             assert code.shadow(w) == frozenset()
+
+
+def reference_shares(g, members):
+    """Shares of members and profiles of all vertices, from frozenset shadows."""
+    shadows = [g.closed_neighborhood(x) & members for x in range(g.n)]
+    shares = {u: sum((Fraction(1, len(shadows[x])) for x in g.closed_neighborhood(u)),
+                     Fraction(0))
+              for u in members}
+    profiles = [tuple(sorted(len(shadows[x]) for x in g.closed_neighborhood(u)))
+                for u in range(g.n)]
+    return all(shadows), shares, profiles
+
+
+def check_shares(g, members):
+    code = Code(g, members)
+    dominating, shares, profiles = reference_shares(g, members)
+    assert [code.profile(u) for u in range(g.n)] == profiles
+    assert {u: code.share(u) for u in members} == shares
+    if not dominating:
+        for call in (code.sum_of_shares, lambda: code.heavy_vertices(1)):
+            with pytest.raises(ShareUndefined, match="only defined for dominating codes"):
+                call()
+        return
+    assert code.sum_of_shares() == sum(shares.values(), Fraction(0)) == g.n
+    # attainable shares as thresholds test the strict inequality
+    for t in {0, 1, 3, Fraction(11, 4), *shares.values()}:
+        assert code.heavy_vertices(t) == sorted(u for u, s in shares.items() if s > t)
+
+
+@st.composite
+def code_with_members(draw, g):
+    """Random members of g, half the time padded to a dominating code."""
+    members = draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    if draw(st.booleans()):
+        members |= {u for u in range(g.n) if not g.closed_neighborhood(u) & members}
+    return frozenset(members)
+
+
+@st.composite
+def graph_and_any_code(draw):
+    offsets = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True))
+    g = CirculantGraph(draw(st.integers(2 * max(offsets) + 1, 40)), offsets)
+    return g, draw(code_with_members(g))
+
+
+@given(graph_and_any_code())
+def test_share_tables_match_reference(gc):
+    check_shares(*gc)
+
+
+WIDE = CirculantGraph(300, range(1, 129))  # shadow sizes up to 257: wider than a byte
+
+
+@settings(max_examples=10)
+@given(code_with_members(WIDE))
+def test_share_tables_match_reference_on_wide_digits(members):
+    check_shares(WIDE, members)
