@@ -127,8 +127,9 @@ def verify_periodic(p: PeriodicCode, kind: Kind) -> VerificationResult:
     first vertex, which lies below the period.
     """
     lift = CirculantGraph(-(-(p.period + 12) // p.period) * p.period)
-    # the residue block repeated N / period times
-    mask = mask_of(p.residues) * ((1 << lift.n) - 1) // ((1 << p.period) - 1)
+    # the residue block's binary numeral repeated N / period times, parsed once
+    block = format(mask_of(p.residues), f"0{p.period}b")
+    mask = int(block * (lift.n // p.period), 2)
     pairs = []
     for d, bits in defects(lift.n, mask, lift.pattern, kind):
         u = _lowest_bit(bits)

@@ -74,5 +74,5 @@ PROOFS = {
 
 def proof_for(offsets: tuple[int, ...], kind: Kind, n: int) -> Proof | None:
     """The stored proof that covers C(n; offsets), or None."""
-    proof = PROOFS.get((tuple(offsets), kind))
+    proof = PROOFS.get((tuple(sorted(offsets)), kind))
     return proof if proof is not None and n >= proof.first else None

@@ -35,16 +35,16 @@ each copy's settled vertices: domination, then the pairs of the copies that
 passed.  Vertices settled earlier pass again, as they did when they
 settled, so the counts are those of checking the new vertices alone.
 
-The search runs in one process.  It walks the partitions by the first two
-gaps in order, replaying each fixed prefix through the same verdicts, and
-stops at the first partition holding a code; the partitions fix the
-certificate, the counts and how often ``progress`` reports.
+The search runs in one process, as one depth-first walk from the root:
+member 0 with no gap placed.  The walk stops at the first code it reaches,
+and ``progress`` reports the running count of examined nodes after each
+first-gap subtree, the one holding the code included.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice
 
@@ -181,7 +181,7 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     else:
         general = -(-n // (degree + 1))
     specific = None
-    if tuple(offsets) == (1, 3) and n >= 13:
+    if tuple(sorted(offsets)) == (1, 3) and n >= 13:
         if kind is Kind.LOCATING:
             specific = -(-n // 3)
         elif kind is Kind.IDENTIFYING:
@@ -190,9 +190,13 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     return BoundReport(general, specific, effective)
 
 
-def _search_partition(g: CirculantGraph, kind: Kind, k: int, prefix):
-    """Exhaust one gap-prefix partition.  Returns (members | None, SearchStats)."""
+def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
+                    progress=None) -> tuple[Code | None, SearchStats]:
     n, offsets, pattern = g.n, g.offsets, g.pattern
+    if k >= n:
+        # the full vertex set is the only candidate: valid unless twins exist
+        valid = next(defects(n, (1 << n) - 1, pattern, kind), None) is None
+        return (Code(g, range(n)) if valid else None), SearchStats()
     dmax = offsets[-1]
     cap = 2 * dmax + 1
     steady = 4 * dmax - 1
@@ -202,13 +206,6 @@ def _search_partition(g: CirculantGraph, kind: Kind, k: int, prefix):
     pruned_bound = 0
     found: list[int] = []
     t0 = time.perf_counter()
-
-    def row_at(pos, mask):
-        window = mask >> (pos - steady) if pos > steady else mask
-        row = verdicts.get(window)
-        if row is None:
-            row = verdicts[window] = _prune_row(window, pattern, dmax, kind)
-        return row
 
     def dfs(pos, count, mask, g0):
         nonlocal examined, pruned_sym, pruned_bound
@@ -225,53 +222,24 @@ def _search_partition(g: CirculantGraph, kind: Kind, k: int, prefix):
                 found.append(mask)
                 return True
             return False
-        row = row_at(pos, mask)
+        window = mask >> (pos - steady) if pos > steady else mask
+        row = verdicts.get(window)
+        if row is None:
+            row = verdicts[window] = _prune_row(window, pattern, dmax, kind)
         for gap in range(g0 or 1, min(cap, n - 1 - pos - (k - count - 1)) + 1):
             if row >> gap & 1:
                 pruned_bound += 1
-            elif dfs(pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap):
+                continue
+            won = dfs(pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap)
+            if not g0 and progress is not None:
+                progress(examined, time.perf_counter() - t0)
+            if won:
                 return True
         return False
 
-    # replay the fixed prefix through the same verdicts
-    pos, count, mask, g0 = 0, 1, 1, 0
-    for gap in prefix:
-        if count == k or pos + gap > n - 1 - (k - count - 1):
-            break
-        if row_at(pos, mask) >> gap & 1:
-            pruned_bound += 1
-            break
-        pos, count, mask, g0 = pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap
-    else:
-        dfs(pos, count, mask, g0)
+    dfs(0, 1, 1, 0)
     stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0)
-    return (found[0] if found else None), stats
-
-
-def _partitions(k: int, cap: int):
-    if k < 3:
-        return [()]
-    return [(g0, g1) for g0 in range(1, cap + 1) for g1 in range(g0, cap + 1)]
-
-
-def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
-                    progress=None) -> tuple[Code | None, SearchStats]:
-    n = g.n
-    if k >= n:
-        # the full vertex set is the only candidate: valid unless twins exist
-        valid = next(defects(n, (1 << n) - 1, g.pattern, kind), None) is None
-        return (Code(g, range(n)) if valid else None), SearchStats()
-    t0 = time.perf_counter()
-    stats = SearchStats()
-    for prefix in _partitions(k, 2 * g.offsets[-1] + 1):
-        winner, st = _search_partition(g, kind, k, prefix)
-        stats = stats.merged(st)
-        if progress is not None:
-            progress(stats.examined, time.perf_counter() - t0)
-        if winner is not None:
-            break
-    stats = replace(stats, wall_time=time.perf_counter() - t0)
-    return (Code.from_mask(g, winner) if winner is not None else None), stats
+    return (Code.from_mask(g, found[0]) if found else None), stats
 
 
 def proved_minimum(g: CirculantGraph, kind: Kind) -> int | None:

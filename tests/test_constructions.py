@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circodes import constructions
 from circodes import (
@@ -254,6 +255,23 @@ def test_verify_periodic_matches_reference():
             for kind in Kind:
                 result = verify_periodic(p, kind)
                 assert (result.status, result.witness) == periodic_reference(p, kind), (p, kind)
+
+
+@st.composite
+def _periodic_codes(draw):
+    period = draw(st.integers(1, 40))
+    return PeriodicCode(period, draw(st.sets(st.integers(0, period - 1))))
+
+
+@given(_periodic_codes())
+@settings(max_examples=200, deadline=None)
+def test_verify_periodic_matches_explicit_lift(p):
+    # the lift verify_periodic checks, with its members listed one by one
+    n = -(-(p.period + 12) // p.period) * p.period
+    members = [i * p.period + r for i in range(n // p.period) for r in sorted(p.residues)]
+    lift = Code(CirculantGraph(n), members)
+    for kind in Kind:
+        assert verify_periodic(p, kind).status == lift.verify(kind).status, kind
 
 
 def test_periodic_agrees_with_finite_beyond_validity_floor():

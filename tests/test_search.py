@@ -26,10 +26,12 @@ def C(n, offsets=(1, 3)):
 # -- lower bounds -------------------------------------------------------------
 
 def test_lower_bound_locating():
-    report = lower_bound(14, Kind.LOCATING)
-    assert report.general_bound == 4   # ceil(2*14/7)
-    assert report.specific_bound == 5     # ceil(14/3)
-    assert report.effective == 5
+    # offset order does not matter: (3, 1) is the graph C(n;1,3)
+    for offsets in ((1, 3), (3, 1)):
+        report = lower_bound(14, Kind.LOCATING, offsets)
+        assert report.general_bound == 4   # ceil(2*14/7)
+        assert report.specific_bound == 5     # ceil(14/3)
+        assert report.effective == 5
 
 
 def test_lower_bound_identifying():
@@ -223,10 +225,13 @@ def test_construction_errors_propagate(monkeypatch):
 
 # -- pinned search counts -----------------------------------------------------------
 
-# (offsets, n, kind, k, examined, pruned_symmetry, pruned_bound, certificate)
-# at the optimum and one below it, as the search counted them before the
-# verdict cache: cached rows must change neither counts nor answers.
-# pruned_symmetry is live: nonzero on {1,4} and {2,5}.
+# (offsets, n, kind, k, deep, pruned_symmetry, pruned_bound, certificate)
+# at the optimum and one below it; cached rows must change neither counts
+# nor answers.  The search examines the root, one node per first gap it
+# visits, gaps 1..min(2*dmax + 1, n - k + 1) up to the certificate's first
+# gap when a code is found, and the ``deep`` nodes below them, so
+# examined = deep + 1 + first gaps visited.  pruned_symmetry is live:
+# nonzero on {1,4} and {2,5}.
 DOM, LOC, IDE = Kind.DOMINATING, Kind.LOCATING, Kind.IDENTIFYING
 PINNED = [
     ((1, 2), 18, DOM, 4, 62, 0, 49, (0, 3, 8, 13)),
@@ -268,9 +273,23 @@ def _counts(g, kind, k):
     return stats.examined, stats.pruned_symmetry, stats.pruned_bound, members
 
 
-@pytest.mark.parametrize("offsets, n, kind, k, examined, sym, bound, cert", PINNED)
-def test_pinned_search_counts(offsets, n, kind, k, examined, sym, bound, cert):
-    assert _counts(C(n, offsets), kind, k) == (examined, sym, bound, cert)
+@pytest.mark.parametrize("offsets, n, kind, k, deep, sym, bound, cert", PINNED)
+def test_pinned_search_counts(offsets, n, kind, k, deep, sym, bound, cert):
+    first_gaps = min(2 * offsets[-1] + 1, n - k + 1) if cert is None else cert[1]
+    assert _counts(C(n, offsets), kind, k) == (deep + 1 + first_gaps, sym, bound, cert)
+
+
+@pytest.mark.parametrize("k, first_gaps", [(8, 9), (9, 1)])
+def test_progress_reports_once_per_first_gap(k, first_gaps):
+    # C(25;1,4) has no locating code of size 8, so all first gaps 1..9 are
+    # walked; at size 9 the code found under first gap 1 ends the walk
+    reports = []
+    code, stats = search._search_at_size(C(25, (1, 4)), Kind.LOCATING, k,
+                                         progress=lambda count, _: reports.append(count))
+    assert (code is None) == (k == 8)
+    assert len(reports) == first_gaps
+    assert reports == sorted(reports)
+    assert reports[-1] == stats.examined
 
 
 def test_window_table_cold_and_warm_agree():

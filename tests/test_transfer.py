@@ -88,6 +88,7 @@ def test_stored_proofs():
         assert len(proof.minima) == proof.onset + proof.period - proof.first
         assert proof_for(offsets, kind, 12) is None
         assert proof_for(offsets, kind, 13) is proof
+        assert proof_for(offsets[::-1], kind, 13) is proof
     assert proof_for((1, 3), Kind.DOMINATING, 40) is None
     assert proof_for((1, 4), LOC, 40) is None
 
