@@ -103,6 +103,17 @@ def _fraction_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
+def _share_texts(code: Code) -> dict[str, str]:
+    """Each member's share as text, by ascending member.
+
+    The code's table holds L * share(u) for every u, and its members take
+    few distinct values: each makes one Fraction and one string.
+    """
+    units, scale = code._share_units, code._share_scale
+    text = {t: _fraction_str(Fraction(t, scale)) for t in {units[u] for u in code.members}}
+    return {str(u): text[units[u]] for u in sorted(code.members)}
+
+
 def _parse_threshold(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -140,7 +151,7 @@ def cmd_verify(args) -> int:
                   f"the code is {result.status.value}", file=sys.stderr)
     elif wanted:
         if args.shares:
-            shares = {str(u): _fraction_str(code.share(u)) for u in sorted(code.members)}
+            shares = _share_texts(code)
             outcome["shares"] = shares
             outcome["sum_of_shares"] = _fraction_str(code.sum_of_shares())
             lines += [f"  share[{u}] = {s}" for u, s in shares.items()]
@@ -198,6 +209,7 @@ def cmd_search(args) -> int:
     kind = _parse_kind(args.kind)
     offsets = _parse_ints(args.offsets, "offsets")
     g = CirculantGraph(args.n, offsets)
+    name = f"C({args.n};{','.join(map(str, g.offsets))})"
     progress = _progress_printer(args.progress)
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget}
@@ -220,12 +232,12 @@ def cmd_search(args) -> int:
         code = exists_code_of_size(g, kind, args.k, progress=progress)
         if code is not None:
             outcome = {"exists": True, "size": args.k, "code": sorted(code.members)}
-            lines = [f"C({args.n};{args.offsets}) has a {kind.value} code of size "
+            lines = [f"{name} has a {kind.value} code of size "
                      f"{args.k}: {sorted(code.members)}"]
         else:
             outcome = {"exists": False, "size": args.k, "code": None}
             how = f"proved minimum {floor}" if engine == "proof" else "exhaustive"
-            lines = [f"C({args.n};{args.offsets}) has no {kind.value} code of size "
+            lines = [f"{name} has no {kind.value} code of size "
                      f"{args.k} ({how})"]
         outcome.update(engine=engine, proved=True)
         _emit(_manifest("search", params, outcome, t0), args.json, lines)
@@ -255,9 +267,9 @@ def cmd_search(args) -> int:
     if opt is None:
         outcome["note"] = result.note
         _emit(_manifest("search", params, outcome, t0), args.json,
-              [f"C({args.n};{args.offsets}): {result.note}"])
+              [f"{name}: {result.note}"])
         return EXIT_INVALID
-    lines = [f"minimum {kind.value} code of C({args.n};{args.offsets}): size {opt.size}",
+    lines = [f"minimum {kind.value} code of {name}: size {opt.size}",
              f"certificate: {sorted(opt.certificate.members)}"]
     if result.engine == "proof":
         lines.append("optimal by the stored transfer-matrix proof; "

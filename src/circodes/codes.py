@@ -19,8 +19,9 @@ vertices u with u + q in S, so:
 Equal nonempty shadows share a member, so only d <= 2*dmax can collide.
 Each check is a few dozen shifts and ORs of n-bit integers: linear in n.
 ``Code.verify`` picks its witness from the kernel's bits, the exhaustive
-search asks it whether a leaf is valid, and ``verify_periodic`` runs it on
-a finite lift of the periodic code.
+search fills its pruning rows from it and asks it whether a leaf that the
+rows pass is valid, and ``verify_periodic`` runs it on a finite lift of the
+periodic code.
 
 Shares are exact rationals (`fractions.Fraction`): the thresholds used by
 the heavy-vertex classifiers (3 and 11/4) must be compared exactly.  Every
@@ -177,9 +178,10 @@ class Code:
 
     def profile(self, u: int) -> tuple[int, ...]:
         """Shadow sizes over N[u], in ascending order."""
-        self.graph.check_vertex(u)
-        sizes = self._shadow_sizes
         n = self.graph.n
+        if type(u) is not int or not 0 <= u < n:
+            self.graph.check_vertex(u)  # raises, unless u is an int subclass
+        sizes = self._shadow_sizes
         return tuple(sorted([sizes[(u + p) % n] for p in self.graph.pattern]))
 
     # -- shares ----------------------------------------------------------

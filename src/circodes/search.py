@@ -21,9 +21,10 @@ Pruning is incremental.  A vertex v is "settled" once the frontier passes
 v + dmax: its shadow can no longer change, so an empty shadow or a shadow
 equal to that of a nearby settled vertex kills the branch.  No gap can
 exceed 2*dmax + 1, because a longer run of non-members leaves its midpoint
-undominated.  Every surviving leaf is re-checked by the full verifier, so
-pruning bugs can only lose solutions, never invent them; the test suite
-compares against an unpruned oracle to guard the other direction.
+undominated.  Every leaf that the pruning passes is re-checked by the full
+verifier, so pruning bugs can only lose solutions, never invent them; the
+test suite compares against an unpruned oracle to guard the other
+direction.
 
 With the last member at pos, a placement at pos + gap settles the vertices
 up to pos + gap - dmax.  Their checks read only the gap and the code bits
@@ -34,6 +35,20 @@ cycle that holds all 2*dmax + 1 placements as disjoint copies, anchored at
 each copy's settled vertices: domination, then the pairs of the copies that
 passed.  Vertices settled earlier pass again, as they did when they
 settled, so the counts are those of checking the new vertices alone.
+
+A leaf closes through the same rows.  After its symmetry and gap-cap
+checks, the walk goes on past n along the code's periodic extension,
+placing the code's own members 0, m1, ... at n, n + m1, ..., and reads
+each window's row, until a member at or past n + 4*dmax - 1 settles the
+last pair of Z_n.  The leaf is rejected at the first pruning bit; one that
+passes still gets the full ``codes.defects`` pass, so a certificate never
+rests on the rows alone.  The walk runs only where n >= 6*dmax + 1: only
+there does its first window lie inside one period, where it is the window
+of a DFS node and shared with other leaves and nodes.  The windows across
+the wrap are each leaf's own, so a cold search fills more rows, and a warm
+one skips the full pass on nearly every leaf that fails.  Below that
+order every window straddles the wrap, and leaves go straight to the full
+pass.
 
 The search runs in one process, as one depth-first walk from the root:
 member 0 with no gap placed.  The walk stops at the first code it reaches,
@@ -76,27 +91,33 @@ NAIVE_LIMIT = 16
 
 # (offsets, kind) -> {window: row with bit g set for each gap g that prunes}.
 # A cache of a pure function, kept for the life of the process.
-_VERDICTS: dict[tuple[tuple[int, ...], Kind], dict[int, int]] = {}
+_VERDICTS: dict[tuple[tuple[int, ...], Kind], _Rows] = {}
 
 
 @lru_cache(maxsize=None)
 def _layout(dmax: int, pos: int):
     """The cycle ``_prune_row`` checks when the last member sits at pos.
 
-    Copy g - 1 holds the placement of gap g.  Returns the cycle length, the
-    multiplier that repeats a window into every copy, the new members, the
-    anchors (each copy's settled vertices dmax .. pos + g - dmax) and the
-    bits of each copy.
+    Copy g - 1 holds the placement of gap g, in bits (g - 1)*span onward.
+    Returns the cycle length, the multiplier that repeats a window into
+    every copy (bit 0 of each), the new members, the anchors (each copy's
+    settled vertices dmax .. pos + g - dmax), and the multiplier that
+    gathers bit 0 of copy g - 1 into bit n + g.
     """
     span = 6 * dmax + 1  # a copy reads its bits 0 .. pos + gap <= 6*dmax
-    shifts = range(0, (2 * dmax + 1) * span, span)
-    members = anchors = 0
-    for gap, shift in enumerate(shifts, 1):
+    gaps = range(1, 2 * dmax + 2)
+    n = len(gaps) * span
+    repeat = members = anchors = gather = 0
+    for gap in gaps:
+        shift = (gap - 1) * span
+        repeat |= 1 << shift
         members |= 1 << (shift + pos + gap)
         if pos + gap >= 2 * dmax:
             anchors |= ((2 << (pos + gap - dmax)) - (1 << dmax)) << shift
-    return (len(shifts) * span, sum(1 << shift for shift in shifts), members, anchors,
-            tuple(((1 << span) - 1) << shift for shift in shifts))
+        # in a product with gather, distinct pairs of bits land at least
+        # span apart, so nothing carries
+        gather |= 1 << (n + gap - shift)
+    return n, repeat, members, anchors, gather
 
 
 def _prune_row(window: int, pattern: tuple[int, ...], dmax: int, kind: Kind) -> int:
@@ -105,14 +126,66 @@ def _prune_row(window: int, pattern: tuple[int, ...], dmax: int, kind: Kind) -> 
     ``window`` holds the code bits up to the last member, at its top bit.
     A pair (u, u + d) counts only once u + d is settled.
     """
-    n, repeat, members, anchors, copies = _layout(dmax, window.bit_length() - 1)
+    n, repeat, members, anchors, gather = _layout(dmax, window.bit_length() - 1)
+    top = 6 * dmax  # the top bit of a copy, above every anchor
+    guards = repeat << top
     mask = window * repeat | members
     bad = next(defects(n, mask, pattern, Kind.DOMINATING, anchors), (0, 0))[1]
-    if kind is not Kind.DOMINATING:
-        live = anchors & ~sum(copy for copy in copies if bad & copy)
+    # bit 0 of each copy with a bad anchor: a copy's guard bit survives the
+    # borrow of its bit 0 unless the copy's bits below it are all clear
+    failed = (((bad | guards) - repeat) & guards) >> top
+    if kind is not Kind.DOMINATING and failed != repeat:
+        live = anchors & ~(failed * ((2 << top) - 1))
         for d, bits in defects(n, mask, pattern, kind, live):
             bad |= bits & live >> d
-    return sum(1 << gap for gap, copy in enumerate(copies, 1) if bad & copy)
+        failed = (((bad | guards) - repeat) & guards) >> top
+    return (failed * gather >> n) & ((4 << 2 * dmax) - 2)
+
+
+class _Rows(dict):
+    """The rows of one (offsets, kind) by window; a miss fills its row."""
+
+    __slots__ = ("pattern", "dmax", "kind")
+
+    def __init__(self, pattern: tuple[int, ...], dmax: int, kind: Kind):
+        super().__init__()
+        self.pattern, self.dmax, self.kind = pattern, dmax, kind
+
+    def __missing__(self, window: int) -> int:
+        row = self[window] = _prune_row(window, self.pattern, self.dmax, self.kind)
+        return row
+
+
+def _rows_pass(rows: _Rows, n: int, mask: int) -> bool:
+    """Whether the rows pass a leaf's code ``mask`` on Z_n past its last member.
+
+    The walk goes on along the code's periodic extension: it places the
+    code's own members 0, m1, ... at n, n + m1, ..., and reads the row of
+    each window as a DFS placement does.  A member at or past n + 4*dmax - 1
+    settles the last pair that any vertex of Z_n takes part in,
+    (n + dmax - 1, n + 3*dmax - 1), so the walk stops there.  A prune is a
+    defect of the code, as long as n >= 6*dmax + 1, 0 is a member and the
+    last member is at least n - 2*dmax - 1.
+    """
+    dmax = rows.dmax
+    steady = 4 * dmax - 1
+    pos = mask.bit_length() - 1
+    # the member at n, whose window is the code's own: most leaves stop here
+    if rows[mask >> (pos - steady)] >> (n - pos) & 1:
+        return False
+    width = (1 << 4 * dmax) - 1
+    ext = mask | mask << n
+    pos = n
+    # one placement for each further member below 4*dmax - 1, and one more
+    for _ in range(steady):
+        rest = ext >> (pos + 1)
+        gap = (rest & -rest).bit_length()
+        if rows[ext >> (pos - steady) & width] >> gap & 1:
+            return False
+        pos += gap
+        if pos >= n + steady:
+            break
+    return True
 
 
 @dataclass(frozen=True)
@@ -200,7 +273,10 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     dmax = offsets[-1]
     cap = 2 * dmax + 1
     steady = 4 * dmax - 1
-    verdicts = _VERDICTS.setdefault((offsets, kind), {})
+    rows = _VERDICTS.setdefault((offsets, kind), _Rows(pattern, dmax, kind))
+    # only then does a leaf's first window lie inside one period, as the
+    # window of a DFS node does
+    walk = n >= 6 * dmax + 1
     examined = 0
     pruned_sym = 0
     pruned_bound = 0
@@ -218,14 +294,13 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
             if wrap > cap:
                 pruned_bound += 1
                 return False
+            if walk and not _rows_pass(rows, n, mask):
+                return False
             if next(defects(n, mask, pattern, kind), None) is None:
                 found.append(mask)
                 return True
             return False
-        window = mask >> (pos - steady) if pos > steady else mask
-        row = verdicts.get(window)
-        if row is None:
-            row = verdicts[window] = _prune_row(window, pattern, dmax, kind)
+        row = rows[mask >> (pos - steady) if pos > steady else mask]
         for gap in range(g0 or 1, min(cap, n - 1 - pos - (k - count - 1)) + 1):
             if row >> gap & 1:
                 pruned_bound += 1

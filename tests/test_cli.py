@@ -83,6 +83,18 @@ def test_verify_shares_and_heavy(capsys):
     assert "(1, 2, 2, 2, 3)" in out
 
 
+def test_verify_shares_match_code_share(capsys):
+    # members with equal shares share one formatted value; each still
+    # reads as Code.share formats it
+    code, doc = run_json(capsys, "verify", "-n", "22", "--code", "0,1,2,6,11,12,13,17",
+                         "--kind", "locating", "--shares")
+    assert code == 0
+    c = Code(CirculantGraph(22), [0, 1, 2, 6, 11, 12, 13, 17])
+    expected = {str(u): str(c.share(u)) for u in sorted(c.members)}
+    assert doc["outcome"]["shares"] == expected
+    assert len(set(expected.values())) > 1
+
+
 def test_verify_malformed_heavy_exit_two_on_invalid_code(capsys):
     for thresh in ("abc", "1/0"):
         code, _, err = run(capsys, "verify", "-n", "7", "--code", "0",
@@ -295,6 +307,25 @@ def test_search_twins_exit_one(capsys, n, offsets, pair):
     code, _, _ = run(capsys, "search", "-n", n, "--offsets", offsets,
                      "--kind", "identifying", "--k", n)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (("-n", "14", "--offsets", "4 1", "--kind", "locating"),
+     "minimum locating code of C(14;1,4): size 5"),
+    (("-n", "12", "--offsets", "3, 1", "--kind", "locating", "--k", "5"),
+     "C(12;1,3) has a locating code of size 5: [0, 1, 2, 3, 7]"),
+    (("-n", "12", "--offsets", "3, 1", "--kind", "locating", "--k", "4"),
+     "C(12;1,3) has no locating code of size 4 (exhaustive)"),
+    (("-n", "5", "--offsets", "2 1", "--kind", "identifying"),
+     "C(5;1,2): no identifying code exists: vertices 0 and 1 have equal closed "
+     "neighbourhoods"),
+], ids=["optimum", "exists", "absent", "twins"])
+def test_search_names_the_graph_by_sorted_offsets(capsys, argv, first_line):
+    _, out, _ = run(capsys, "search", *argv)
+    assert out.splitlines()[0] == first_line
+    # the JSON parameters keep the offsets as given
+    _, doc = run_json(capsys, "search", *argv)
+    assert doc["parameters"]["offsets"] == [int(d) for d in argv[3].replace(",", " ").split()]
 
 
 def test_search_engine_and_proof_status(capsys):

@@ -339,6 +339,15 @@ def test_int_subclass_members_are_accepted():
         assert code == plain
 
 
+@pytest.mark.parametrize("odd", ODD_MEMBERS)
+def test_profile_rejects_what_member_validation_rejects(odd):
+    code = Code(C(13), {0, 4, 5, 9, 11})
+    with pytest.raises(VertexOutOfRange) as info:
+        code.profile(odd)
+    assert str(info.value) == f"vertex {odd!r} not in 0..12"
+    assert code.profile(Vertex.TWO) == code.profile(2)
+
+
 def test_from_mask_keeps_its_mask():
     g = C(200)
     mask = 1 | 1 << 3 | 1 << 150

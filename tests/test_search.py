@@ -3,7 +3,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circodes import search
 from circodes import (
@@ -17,6 +17,7 @@ from circodes import (
     min_code_size,
     naive_min_code_size,
 )
+from circodes.codes import defects
 
 
 def C(n, offsets=(1, 3)):
@@ -293,13 +294,64 @@ def test_progress_reports_once_per_first_gap(k, first_gaps):
 
 
 def test_window_table_cold_and_warm_agree():
-    for offsets, n, ks in (((1, 3), 26, (9, 10)), ((1, 5), 22, (7, 8))):
+    # C(25;1,4) leaves walk past n through the rows; the others do not
+    for offsets, n, ks in (((1, 3), 26, (9, 10)), ((1, 5), 22, (7, 8)), ((1, 4), 25, (9, 10))):
         g = C(n, offsets)
         search._VERDICTS.clear()
         cold = [_counts(g, Kind.IDENTIFYING, k) for k in ks]
         assert search._VERDICTS[(offsets, Kind.IDENTIFYING)]
         warm = [_counts(g, Kind.IDENTIFYING, k) for k in ks]
         assert cold == warm, offsets
+
+
+# the PINNED questions whose leaves walk past n: n >= 6*dmax + 1
+WALKED = [(offsets, n, kind, k, cert) for offsets, n, kind, k, *_, cert in PINNED
+          if n >= 6 * offsets[-1] + 1]
+
+
+@pytest.mark.parametrize("offsets, n, kind, k, cert", WALKED)
+def test_leaf_check_runs_only_on_the_certificate(monkeypatch, offsets, n, kind, k, cert):
+    g = C(n, offsets)
+    _counts(g, kind, k)  # fills every row the search below reads
+    checked = []
+
+    def leaf_check(n, mask, *args):
+        checked.append(mask)
+        return defects(n, mask, *args)
+
+    monkeypatch.setattr(search, "defects", leaf_check)
+    code, _ = search._search_at_size(g, kind, k)
+    assert (code is None) == (cert is None)
+    assert checked == ([] if code is None else [code.mask])
+
+
+@st.composite
+def _leaves(draw):
+    """A valid code with 0 as a member and a wrap gap of at most 2*dmax + 1."""
+    dmax = draw(st.integers(1, 4))
+    offsets = tuple(sorted({dmax} | draw(st.sets(st.integers(1, dmax)))))
+    n = draw(st.integers(6 * dmax + 1, 8 * dmax))
+    kind = draw(st.sampled_from(list(Kind)))
+    pattern = C(n, offsets).pattern
+    mask = (1 << n) - 1
+    assume(next(defects(n, mask, pattern, kind), None) is None)  # no twins
+    tail = (1 << n) - (1 << (n - 2 * dmax - 1))  # where the last member must sit
+    # drop members in a random order, but for a few kept ones, while the
+    # code stays a valid leaf
+    keep = draw(st.sets(st.integers(1, n - 1), max_size=n // 4))
+    for v in draw(st.permutations([v for v in range(1, n) if v not in keep])):
+        smaller = mask & ~(1 << v)
+        if smaller & tail and next(defects(n, smaller, pattern, kind), None) is None:
+            mask = smaller
+    return offsets, n, kind, mask
+
+
+@given(_leaves())
+@settings(max_examples=300, deadline=None)
+def test_walk_never_rejects_a_valid_code(leaf):
+    offsets, n, kind, mask = leaf
+    rows = search._Rows(C(n, offsets).pattern, offsets[-1], kind)
+    assert search._rows_pass(rows, n, mask)
 
 
 def _reference_prunes(window, gap, offsets, kind):
