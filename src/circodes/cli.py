@@ -259,6 +259,7 @@ def cmd_search(args) -> int:
             "examined": result.stats.examined,
             "pruned_symmetry": result.stats.pruned_symmetry,
             "pruned_bound": result.stats.pruned_bound,
+            "leaf_checks": result.stats.leaf_checks,
             "wall_time": round(result.stats.wall_time, 6),
         },
         "engine": result.engine,
@@ -439,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True)
     p.add_argument("--from", dest="n_from", type=int, required=True)
     p.add_argument("--to", dest="n_to", type=int, required=True)
-    p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--csv", action="store_true")
+    out.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("density", help="density and validity of a periodic code")

@@ -50,6 +50,14 @@ one skips the full pass on nearly every leaf that fails.  Below that
 order every window straddles the wrap, and leaves go straight to the full
 pass.
 
+A node one member short of k closes its leaf children itself, with no call
+per leaf.  It steps only over the set bits of its unpruned gaps, counts
+the row-pruned ones, the gap-cap prunes (gaps below n - pos - cap) and the
+symmetry prunes (gaps above n - pos - g0) by popcount, and gives each
+remaining leaf the walk's first read, the row of its own window at bit
+n - last, before the rest of the walk and the full pass.  The counts are
+those of visiting every node and leaf alone, in gap order.
+
 The search runs in one process, as one depth-first walk from the root:
 member 0 with no gap placed.  The walk stops at the first code it reaches,
 and ``progress`` reports the running count of examined nodes after each
@@ -203,6 +211,7 @@ class SearchStats:
     pruned_symmetry: int = 0
     pruned_bound: int = 0
     wall_time: float = 0.0
+    leaf_checks: int = 0  # full ``codes.defects`` passes on search leaves
 
     def merged(self, other: "SearchStats") -> "SearchStats":
         return SearchStats(
@@ -210,6 +219,7 @@ class SearchStats:
             self.pruned_symmetry + other.pruned_symmetry,
             self.pruned_bound + other.pruned_bound,
             self.wall_time + other.wall_time,
+            self.leaf_checks + other.leaf_checks,
         )
 
 
@@ -280,40 +290,82 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     examined = 0
     pruned_sym = 0
     pruned_bound = 0
+    leaf_checks = 0
     found: list[int] = []
     t0 = time.perf_counter()
 
-    def dfs(pos, count, mask, g0):
-        nonlocal examined, pruned_sym, pruned_bound
-        examined += 1
-        if count == k:
-            wrap = n - pos
-            if wrap < g0:
-                pruned_sym += 1
-                return False
-            if wrap > cap:
-                pruned_bound += 1
-                return False
-            if walk and not _rows_pass(rows, n, mask):
-                return False
-            if next(defects(n, mask, pattern, kind), None) is None:
-                found.append(mask)
-                return True
-            return False
-        row = rows[mask >> (pos - steady) if pos > steady else mask]
-        for gap in range(g0 or 1, min(cap, n - 1 - pos - (k - count - 1)) + 1):
-            if row >> gap & 1:
-                pruned_bound += 1
-                continue
-            won = dfs(pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap)
-            if not g0 and progress is not None:
-                progress(examined, time.perf_counter() - t0)
-            if won:
-                return True
-        return False
+    def close(pos, mask, free, g0):
+        """Close the leaves at the gaps in ``free`` after the member at pos.
 
-    dfs(0, 1, 1, 0)
-    stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0)
+        Returns the bit of the winning gap, or 0.  With g0 = 0 each leaf's
+        first gap is its own gap.
+        """
+        nonlocal examined, pruned_sym, pruned_bound, leaf_checks
+        wrap = n - pos
+        # the leaf at gap closes the cycle with the gap wrap - gap: too long
+        # below wrap - cap, shorter than the first gap above top
+        top = wrap - g0 if g0 else wrap // 2  # >= 1: g0 <= gap < wrap, and n >= 3
+        capped = free & ((1 << max(wrap - cap, 0)) - 1)
+        sym = free & (-2 << top)
+        pruned_bound += capped.bit_count()
+        live = free ^ capped ^ sym
+        while live:
+            low = live & -live
+            last = pos + low.bit_length() - 1
+            leaf = mask | low << pos
+            # the walk's first read rejects nearly every leaf
+            if not walk or (not rows[leaf >> (last - steady)] >> (n - last) & 1
+                            and _rows_pass(rows, n, leaf)):
+                leaf_checks += 1
+                if next(defects(n, leaf, pattern, kind), None) is None:
+                    found.append(leaf)
+                    examined += (free & ((low << 1) - 1)).bit_count()
+                    return low
+            live ^= low
+        examined += free.bit_count()
+        pruned_sym += sym.bit_count()
+        return 0
+
+    def dfs(pos, count, mask, g0):
+        """Visit the node with count members, the last at pos.
+
+        Returns the bit of the winning gap, or 0.
+        """
+        nonlocal examined, pruned_bound
+        examined += 1
+        lo = g0 or 1
+        hi = min(cap, n - 1 - pos - (k - count - 1))
+        if hi < lo:
+            return 0
+        span = (2 << hi) - (1 << lo)
+        row = rows[mask >> (pos - steady) if pos > steady else mask] & span
+        free = span ^ row
+        if count == k - 1 and g0:
+            won = close(pos, mask, free, g0)
+        else:
+            # one child at a time: the root reports progress after each
+            won = 0
+            while free:
+                low = free & -free
+                gap = low.bit_length() - 1
+                if (close(pos, mask, low, 0) if count == k - 1
+                        else dfs(pos + gap, count + 1, mask | low << pos, g0 or gap)):
+                    won = low
+                if not g0 and progress is not None:
+                    progress(examined, time.perf_counter() - t0)
+                if won:
+                    break
+                free ^= low
+        # the row-pruned gaps below the winner, or all of them
+        pruned_bound += (row & (won - 1) if won else row).bit_count()
+        return won
+
+    if k == 1:
+        close(0, 1, 1, 0)  # the root is the only leaf, at gap 0 from itself
+    else:
+        dfs(0, 1, 1, 0)
+    stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0,
+                        leaf_checks)
     return (Code.from_mask(g, found[0]) if found else None), stats
 
 
@@ -442,7 +494,7 @@ def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
             for v in members:
                 mask |= 1 << v
             if next(defects(n, mask, g.pattern, kind), None) is None:
-                stats = SearchStats(examined, 0, 0, time.perf_counter() - t0)
+                stats = SearchStats(examined, 0, 0, time.perf_counter() - t0, examined)
                 return SearchResult(kind, n, Optimum(k, Code(g, members)), stats)
     # no subset is valid, the full set included: g has twin vertices
     return _no_code(g, kind)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from circodes import CirculantGraph, Code, Kind
+from circodes import CirculantGraph, Code, Kind, min_code_size
 from circodes.cli import main
 
 
@@ -370,6 +370,23 @@ def test_search_json_stats(capsys):
     assert doc["outcome"]["stats"]["examined"] >= 1
 
 
+@pytest.mark.parametrize("n, offsets, checks", [("25", "1,4", 1), ("12", "1,3", None)])
+def test_search_json_leaf_checks(capsys, n, offsets, checks):
+    # C(25;1,4) leaves close through the rows: sizes 9 and 10 are searched,
+    # and only the certificate gets the full leaf pass.  Below n = 6*dmax + 1
+    # every leaf that passes its symmetry and gap-cap checks gets one.
+    code, doc = run_json(capsys, "search", "-n", n, "--offsets", offsets,
+                         "--kind", "identifying")
+    assert code == 0
+    g = CirculantGraph(int(n), tuple(map(int, offsets.split(","))))
+    expected = min_code_size(g, Kind.IDENTIFYING).stats.leaf_checks
+    assert doc["outcome"]["stats"]["leaf_checks"] == expected
+    if checks is not None:
+        assert expected == checks
+    else:
+        assert expected > 1
+
+
 # -- table ------------------------------------------------------------------------
 
 def test_table_small_locating(capsys):
@@ -411,6 +428,16 @@ def test_table_csv(capsys):
     assert lines[1] == "13,5,5,5,="
     assert lines[2] == "14,5,6,6,="
     assert lines[3] == "15,5,6,6,="
+
+
+def test_table_csv_and_json_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--kind", "locating", "--from", "13", "--to", "15",
+              "--csv", "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --json: not allowed with argument --csv" in captured.err
 
 
 def test_table_byte_stable(capsys):

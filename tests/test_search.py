@@ -320,9 +320,10 @@ def test_leaf_check_runs_only_on_the_certificate(monkeypatch, offsets, n, kind, 
         return defects(n, mask, *args)
 
     monkeypatch.setattr(search, "defects", leaf_check)
-    code, _ = search._search_at_size(g, kind, k)
+    code, stats = search._search_at_size(g, kind, k)
     assert (code is None) == (cert is None)
     assert checked == ([] if code is None else [code.mask])
+    assert stats.leaf_checks == (0 if code is None else 1)
 
 
 @st.composite
@@ -352,6 +353,73 @@ def test_walk_never_rejects_a_valid_code(leaf):
     offsets, n, kind, mask = leaf
     rows = search._Rows(C(n, offsets).pattern, offsets[-1], kind)
     assert search._rows_pass(rows, n, mask)
+
+
+def _reference_search(g, kind, k):
+    """The search with one call per node and per leaf, each gap tested alone.
+
+    Reads the same rows as ``search._search_at_size``; returns the
+    certificate's mask or None, and examined, pruned_symmetry, pruned_bound
+    and leaf_checks.
+    """
+    n, pattern, dmax = g.n, g.pattern, g.offsets[-1]
+    if k >= n:
+        valid = next(defects(n, (1 << n) - 1, pattern, kind), None) is None
+        return ((1 << n) - 1 if valid else None), (0, 0, 0, 0)
+    cap, steady = 2 * dmax + 1, 4 * dmax - 1
+    rows = search._VERDICTS.setdefault((g.offsets, kind), search._Rows(pattern, dmax, kind))
+    walk = n >= 6 * dmax + 1
+    counts = [0, 0, 0, 0]
+    found = []
+
+    def dfs(pos, count, mask, g0):
+        counts[0] += 1
+        if count == k:
+            wrap = n - pos
+            if wrap < g0:
+                counts[1] += 1
+                return False
+            if wrap > cap:
+                counts[2] += 1
+                return False
+            if walk and not search._rows_pass(rows, n, mask):
+                return False
+            counts[3] += 1
+            if next(defects(n, mask, pattern, kind), None) is None:
+                found.append(mask)
+                return True
+            return False
+        row = rows[mask >> (pos - steady) if pos > steady else mask]
+        for gap in range(g0 or 1, min(cap, n - 1 - pos - (k - count - 1)) + 1):
+            if row >> gap & 1:
+                counts[2] += 1
+                continue
+            if dfs(pos + gap, count + 1, mask | 1 << (pos + gap), g0 or gap):
+                return True
+        return False
+
+    dfs(0, 1, 1, 0)
+    return (found[0] if found else None), tuple(counts)
+
+
+@st.composite
+def _questions(draw):
+    dmax = draw(st.integers(1, 4))
+    offsets = tuple(sorted({dmax} | draw(st.sets(st.integers(1, dmax)))))
+    n = draw(st.integers(2 * dmax + 1, 26))
+    return offsets, n, draw(st.sampled_from(list(Kind))), draw(st.integers(1, n))
+
+
+@given(_questions())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_one_call_per_leaf(question):
+    # the bulk leaf closing visits the same tree: same code, same counts
+    offsets, n, kind, k = question
+    g = C(n, offsets)
+    code, stats = search._search_at_size(g, kind, k)
+    mask = None if code is None else code.mask
+    counts = (stats.examined, stats.pruned_symmetry, stats.pruned_bound, stats.leaf_checks)
+    assert (mask, counts) == _reference_search(g, kind, k)
 
 
 def _reference_prunes(window, gap, offsets, kind):
