@@ -9,8 +9,8 @@ A graph stores only n, its offsets and its closed pattern
 (0, +d_1, -d_1, ..., +d_k, -d_k): N[u] is u plus the pattern, mod n, so
 every neighbourhood query costs O(degree) and a graph costs O(k) memory
 whatever n is.  No library code reads per-vertex closed-neighbourhood
-bitmasks; ``_closed_masks`` builds them on first access for the
-benchmark's trace counter (``bench/spans.py``) only.
+bitmasks; ``_closed_masks`` builds them for the benchmark's trace counter
+(``bench/spans.py``) only.
 
 Vertex subsets are handled as int bitmasks (bit u set means vertex u is
 in the set); ``mask_of`` and ``set_of`` convert in linear time.
@@ -53,11 +53,10 @@ class CirculantGraph:
     """The circulant graph C(n; d_1,...,d_k).
 
     Immutable after construction; all query methods are pure, so
-    instances are safe to share between threads (two threads that race
-    on the lazy ``_closed_masks`` build the same tuple).
+    instances are safe to share between threads.
     """
 
-    __slots__ = ("n", "offsets", "pattern", "_masks")
+    __slots__ = ("n", "offsets", "pattern")
 
     def __init__(self, n: int, offsets: Iterable[int] = (1, 3)):
         offsets = tuple(offsets)
@@ -80,7 +79,6 @@ class CirculantGraph:
         for d in self.offsets:
             pattern += (d, -d)
         self.pattern = tuple(pattern)
-        self._masks = None
 
     @property
     def _closed_masks(self) -> tuple[int, ...]:
@@ -88,22 +86,10 @@ class CirculantGraph:
 
         No library code reads it: the search takes its pruning from
         ``codes.defects``.  It stays only because the benchmark's trace
-        counter (``bench/spans.py``) reads it, until that counter changes.
-        Built on first access and kept.
+        counter (``bench/spans.py``) reads it, once per graph.
         """
-        masks = self._masks
-        if masks is None:
-            n = self.n
-            offsets = self.offsets
-            masks = []
-            for u in range(n):
-                m = 1 << u
-                for d in offsets:
-                    m |= 1 << ((u + d) % n)
-                    m |= 1 << ((u - d) % n)
-                masks.append(m)
-            self._masks = masks = tuple(masks)
-        return masks
+        n = self.n
+        return tuple(sum(1 << (u + p) % n for p in self.pattern) for u in range(n))
 
     # -- basic queries -------------------------------------------------
 

@@ -31,7 +31,7 @@ from .constructions import (
 )
 from .errors import BudgetExceeded, CircodesError, UnsupportedOrder
 from .proofs import PROOFS
-from .search import exists_code_of_size, lower_bound, min_code_size, proved_minimum
+from .search import _code_of_size, lower_bound, min_code_size
 
 SCHEMA_VERSION = "v1"
 
@@ -213,55 +213,45 @@ def cmd_search(args) -> int:
     progress = _progress_printer(args.progress)
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget}
-    if args.k is not None:
-        if not 1 <= args.k <= args.n:
-            raise UsageError(f"k must be within 1..{args.n}, got {args.k}")
-        # where a proof covers the graph it answers every k; the search runs
-        # unbudgeted unless --budget is given explicitly
-        floor = proved_minimum(g, kind)
-        engine = "dfs" if floor is None else "proof"
-        if engine == "dfs" and args.budget is not None and args.n > args.budget:
-            note = f"order {args.n} exceeds search budget {args.budget}"
-            outcome = {"exists": None, "size": args.k, "code": None, "note": note,
-                       "engine": engine, "proved": False}
-            if args.json:
-                _emit(_manifest("search", params, outcome, t0), True, [])
-            else:
-                print(f"budget exceeded: {note}", file=sys.stderr)
-            return EXIT_BUDGET
-        code = exists_code_of_size(g, kind, args.k, progress=progress)
-        if code is not None:
-            outcome = {"exists": True, "size": args.k, "code": sorted(code.members)}
-            lines = [f"{name} has a {kind.value} code of size "
-                     f"{args.k}: {sorted(code.members)}"]
+    try:
+        if args.k is None:
+            result = min_code_size(g, kind, budget=args.budget, progress=progress)
         else:
-            outcome = {"exists": False, "size": args.k, "code": None}
-            how = f"proved minimum {floor}" if engine == "proof" else "exhaustive"
-            lines = [f"{name} has no {kind.value} code of size "
-                     f"{args.k} ({how})"]
-        outcome.update(engine=engine, proved=True)
+            result = _code_of_size(g, kind, args.k, budget=args.budget, progress=progress)
+    except BudgetExceeded as exc:
+        head = ({"optimum": None} if args.k is None
+                else {"exists": None, "size": args.k, "code": None})
+        outcome = head | {"note": str(exc), "engine": "dfs", "proved": False}
+        if args.k is not None and not args.json:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+        else:
+            _emit(_manifest("search", params, outcome, t0), args.json,
+                  [f"budget exceeded: {exc}"])
+        return EXIT_BUDGET
+    stats = {
+        "examined": result.stats.examined,
+        "pruned_symmetry": result.stats.pruned_symmetry,
+        "pruned_bound": result.stats.pruned_bound,
+        "leaf_checks": result.stats.leaf_checks,
+        "wall_time": round(result.stats.wall_time, 6),
+    }
+    if args.k is not None:
+        found = result.outcome
+        code = None if found is None else sorted(found.certificate.members)
+        lines = [f"{name} has a {kind.value} code of size {args.k}: {code}"
+                 if code is not None else
+                 f"{name} has no {kind.value} code of size {args.k} ({result.note})"]
+        outcome = {"exists": code is not None, "size": args.k, "code": code,
+                   "stats": stats, "engine": result.engine, "proved": True}
         _emit(_manifest("search", params, outcome, t0), args.json, lines)
         return EXIT_OK if code is not None else EXIT_INVALID
-    try:
-        result = min_code_size(g, kind, budget=args.budget, progress=progress)
-    except BudgetExceeded as exc:
-        outcome = {"optimum": None, "note": str(exc), "engine": "dfs", "proved": False}
-        _emit(_manifest("search", params, outcome, t0), args.json,
-              [f"budget exceeded: {exc}"])
-        return EXIT_BUDGET
     opt = result.outcome
     bounds = lower_bound(args.n, kind, tuple(sorted(offsets)))
     outcome = {
         "optimum": opt.size if opt is not None else None,
         "code": sorted(opt.certificate.members) if opt is not None else None,
         "lower_bound": bounds.effective,
-        "stats": {
-            "examined": result.stats.examined,
-            "pruned_symmetry": result.stats.pruned_symmetry,
-            "pruned_bound": result.stats.pruned_bound,
-            "leaf_checks": result.stats.leaf_checks,
-            "wall_time": round(result.stats.wall_time, 6),
-        },
+        "stats": stats,
         "engine": result.engine,
         "proved": True,
     }

@@ -51,7 +51,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .circulant import CirculantGraph, set_of
+from .circulant import CirculantGraph
 from .errors import NotInCode, ShareUndefined
 
 __all__ = [
@@ -131,18 +131,6 @@ class Code:
             digits[v] = 49  # ord("1")
         digits.reverse()  # a base-2 numeral, vertex 0 last
         object.__setattr__(self, "mask", int(digits, 2))
-
-    @classmethod
-    def from_mask(cls, graph: CirculantGraph, mask: int) -> "Code":
-        """The code of the set bits of ``mask``, which it keeps as its mask."""
-        members = set_of(mask)
-        if mask >> graph.n:
-            return cls(graph, members)  # raises on the first member past n - 1
-        code = cls.__new__(cls)
-        object.__setattr__(code, "graph", graph)
-        object.__setattr__(code, "members", members)
-        object.__setattr__(code, "mask", mask)
-        return code
 
     def __reduce__(self):
         # the cached tables are memoryviews, which do not pickle

@@ -72,7 +72,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 
 from . import constructions
-from .circulant import CirculantGraph
+from .circulant import CirculantGraph, set_of
 from .codes import Code, Kind, defects
 from .errors import BudgetExceeded, OracleTooLarge
 from .proofs import proof_for
@@ -86,7 +86,6 @@ __all__ = [
     "exists_code_of_size",
     "min_code_size",
     "naive_min_code_size",
-    "proved_minimum",
     "DEFAULT_SEARCH_BUDGETS",
 ]
 
@@ -167,38 +166,34 @@ class _Rows(dict):
 def _rows_pass(rows: _Rows, n: int, mask: int) -> bool:
     """Whether the rows pass a leaf's code ``mask`` on Z_n past its last member.
 
-    The walk goes on along the code's periodic extension: it places the
-    code's own members 0, m1, ... at n, n + m1, ..., and reads the row of
-    each window as a DFS placement does.  A member at or past n + 4*dmax - 1
-    settles the last pair that any vertex of Z_n takes part in,
-    (n + dmax - 1, n + 3*dmax - 1), so the walk stops there.  A prune is a
+    From the last member, the walk goes on along the code's periodic
+    extension: it places the code's own members 0, m1, ... at n, n + m1,
+    ..., and reads the row of each window as a DFS placement does.  A
+    member at or past n + 4*dmax - 1 settles the last pair that any vertex
+    of Z_n takes part in, (n + dmax - 1, n + 3*dmax - 1), so the walk stops
+    there.  A prune is a
     defect of the code, as long as n >= 6*dmax + 1, 0 is a member and the
     last member is at least n - 2*dmax - 1.
     """
-    dmax = rows.dmax
-    steady = 4 * dmax - 1
-    pos = mask.bit_length() - 1
-    # the member at n, whose window is the code's own: most leaves stop here
-    if rows[mask >> (pos - steady)] >> (n - pos) & 1:
-        return False
-    width = (1 << 4 * dmax) - 1
+    steady = 4 * rows.dmax - 1
+    width = (2 << steady) - 1
     ext = mask | mask << n
-    pos = n
-    # one placement for each further member below 4*dmax - 1, and one more
-    for _ in range(steady):
+    pos = mask.bit_length() - 1
+    while pos < n + steady:
         rest = ext >> (pos + 1)
         gap = (rest & -rest).bit_length()
         if rows[ext >> (pos - steady) & width] >> gap & 1:
             return False
         pos += gap
-        if pos >= n + steady:
-            break
     return True
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Lower bounds on code size: degree-based, offset-{1,3} specific, and their max."""
+    """Lower bounds on code size: degree-based, from a stored proof, and their max.
+
+    ``specific_bound`` is None where no stored proof covers the graph.
+    """
 
     general_bound: int
     specific_bound: int | None
@@ -231,11 +226,12 @@ class Optimum:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The answer to a minimum-size question.
+    """The answer to a minimum-size question, or to one at a fixed size.
 
-    ``outcome`` is None when no code of the kind exists (twin vertices).
-    ``engine`` names what answered: "proof" for a stored transfer-matrix
-    proof, "dfs" for the exhaustive search.
+    ``outcome`` is None when no code of the kind exists (twin vertices), or
+    at a fixed size, when none of that size does.  ``engine`` names what
+    answered: "proof" for a stored transfer-matrix proof, "dfs" for the
+    exhaustive search.
     """
 
     kind: Kind
@@ -251,8 +247,10 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
 
     The general bounds hold for any graph of maximum degree 2*len(offsets):
     2n/(degree+3) for locating, 2n/(degree+2) for identifying, n/(degree+1)
-    for dominating.  The sharper n/3 and 4n/11 bounds are specific to
-    offsets {1,3} and orders n >= 13.
+    for dominating.  Where a stored proof covers C(n; offsets), the specific
+    bound is ceil(n * increment / period), the proof's density floor: for
+    offsets {1,3} and n >= 13 that is the paper's n/3 locating and 4n/11
+    identifying.
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
@@ -263,12 +261,8 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
         general = -(-2 * n // (degree + 2))
     else:
         general = -(-n // (degree + 1))
-    specific = None
-    if tuple(sorted(offsets)) == (1, 3) and n >= 13:
-        if kind is Kind.LOCATING:
-            specific = -(-n // 3)
-        elif kind is Kind.IDENTIFYING:
-            specific = -(-4 * n // 11)
+    proof = proof_for(offsets, kind, n)
+    specific = None if proof is None else -(-n * proof.increment // proof.period)
     effective = max(general, specific or 0, 1)
     return BoundReport(general, specific, effective)
 
@@ -366,16 +360,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
         dfs(0, 1, 1, 0)
     stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0,
                         leaf_checks)
-    return (Code.from_mask(g, found[0]) if found else None), stats
-
-
-def proved_minimum(g: CirculantGraph, kind: Kind) -> int | None:
-    """The minimum code size that a stored proof gives for g, or None.
-
-    Proofs cover locating and identifying codes of C(n;1,3) for n >= 13.
-    """
-    proof = proof_for(g.offsets, kind, g.n)
-    return None if proof is None else proof.minimum(g.n)
+    return (Code(g, set_of(found[0])) if found else None), stats
 
 
 def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
@@ -387,22 +372,42 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
     k - minimum smallest non-members, once Code.verify passes (adding
     vertices keeps a code valid).  Otherwise it exhausts all k-subsets up to
     rotation; the returned certificate is deterministic for a given graph.
+    ``circodes search --k`` reports the same answer with its statistics.
+    """
+    outcome = _code_of_size(g, kind, k, progress=progress).outcome
+    return None if outcome is None else outcome.certificate
+
+
+def _code_of_size(g: CirculantGraph, kind: Kind, k: int, *, budget: int | None = None,
+                  progress=None) -> SearchResult:
+    """The answer of ``exists_code_of_size`` with its engine, stats and note.
+
+    The outcome holds the code of size k, or None, with the note "proved
+    minimum m" when the stored proof answers and "exhaustive" when the
+    search does.  Orders beyond ``budget``, when given, raise BudgetExceeded
+    where a search would start.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
-    floor = proved_minimum(g, kind)
-    if floor is not None:
+    proof = proof_for(g.offsets, kind, g.n)
+    if proof is not None:
+        floor = proof.minimum(g.n)
+        note = f"proved minimum {floor}"
         if k < floor:
-            return None
+            return SearchResult(kind, g.n, None, SearchStats(), note, "proof")
         answer = _from_proof(g, kind)
         if answer is not None:
             members = answer.outcome.certificate.members
             extra = islice((v for v in range(g.n) if v not in members), k - floor)
             code = Code(g, members.union(extra))
             if code.verify(kind):
-                return code
-    code, _ = _search_at_size(g, kind, k, progress=progress)
-    return code
+                return SearchResult(kind, g.n, Optimum(k, code), SearchStats(), note,
+                                    "proof")
+    if budget is not None and g.n > budget:
+        raise BudgetExceeded(f"order {g.n} exceeds search budget {budget}")
+    code, stats = _search_at_size(g, kind, k, progress=progress)
+    outcome = None if code is None else Optimum(k, code)
+    return SearchResult(kind, g.n, outcome, stats, "exhaustive")
 
 
 def _no_code(g: CirculantGraph, kind: Kind) -> SearchResult | None:
@@ -427,9 +432,10 @@ def _from_proof(g: CirculantGraph, kind: Kind) -> SearchResult | None:
     None, so that the search runs, unless the construction has the proved
     size and passes Code.verify.
     """
-    size = proved_minimum(g, kind)
-    if size is None:
+    proof = proof_for(g.offsets, kind, g.n)
+    if proof is None:
         return None
+    size = proof.minimum(g.n)
     build = (constructions.locating_code_for if kind is Kind.LOCATING
              else constructions.identifying_code_for)
     code = build(g.n)

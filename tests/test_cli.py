@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from circodes import CirculantGraph, Code, Kind, min_code_size
+from circodes import CirculantGraph, Code, Kind, min_code_size, search
 from circodes.cli import main
 
 
@@ -385,6 +385,43 @@ def test_search_json_leaf_checks(capsys, n, offsets, checks):
         assert expected == checks
     else:
         assert expected > 1
+
+
+def test_search_fixed_k_reports_stats(capsys):
+    # a nonexistence search reports its counts, as search without --k does
+    code, doc = run_json(capsys, "search", "-n", "25", "--offsets", "1,4", "--kind",
+                         "identifying", "--k", "9")
+    assert (code, doc["outcome"]["exists"], doc["outcome"]["engine"]) == (1, False, "dfs")
+    _, stats = search._search_at_size(CirculantGraph(25, (1, 4)), Kind.IDENTIFYING, 9)
+    assert doc["outcome"]["stats"]["examined"] == stats.examined > 0
+    assert doc["outcome"]["stats"]["leaf_checks"] == stats.leaf_checks
+    # the proof answers with no search
+    code, doc = run_json(capsys, "search", "-n", "41", "--kind", "identifying", "--k", "15")
+    assert (code, doc["outcome"]["engine"]) == (1, "proof")
+    assert {key: value for key, value in doc["outcome"]["stats"].items()
+            if key != "wall_time"} == dict.fromkeys(
+                ("examined", "pruned_symmetry", "pruned_bound", "leaf_checks"), 0)
+
+
+def test_search_fixed_k_broken_construction_is_searched(capsys, monkeypatch):
+    # a construction that fails its check leaves the question to the search,
+    # which the report names and the budget bounds
+    from circodes import constructions
+    build = constructions.identifying_code_for
+    monkeypatch.setattr(constructions, "identifying_code_for",
+                        lambda n: Code(CirculantGraph(n), sorted(build(n).members)[1:]))
+    code, doc = run_json(capsys, "search", "-n", "22", "--kind", "identifying", "--k", "8")
+    assert (code, doc["outcome"]["exists"], doc["outcome"]["engine"]) == (0, True, "dfs")
+    assert doc["outcome"]["stats"]["examined"] > 0
+    assert Code(CirculantGraph(22), doc["outcome"]["code"]).is_identifying()
+    code, doc = run_json(capsys, "search", "-n", "22", "--kind", "identifying", "--k", "8",
+                         "--budget", "20")
+    assert (code, doc["outcome"]["exists"], doc["outcome"]["engine"]) == (3, None, "dfs")
+    assert doc["outcome"]["note"] == "order 22 exceeds search budget 20"
+    # below the proved minimum the proof still answers
+    code, doc = run_json(capsys, "search", "-n", "22", "--kind", "identifying", "--k", "7",
+                         "--budget", "20")
+    assert (code, doc["outcome"]["engine"]) == (1, "proof")
 
 
 # -- table ------------------------------------------------------------------------

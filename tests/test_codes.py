@@ -16,6 +16,7 @@ from circodes import (
     heavy_profile_violations,
     locating_code_for,
 )
+from circodes.circulant import set_of
 from circodes.codes import defects
 
 
@@ -223,7 +224,7 @@ def test_heavy_profile_violations_rejects_dominating_kind():
 def test_mask_roundtrip():
     g = C(13)
     code = Code(g, {0, 1, 6, 7, 10})
-    assert Code.from_mask(g, code.mask) == code
+    assert Code(g, set_of(code.mask)) == code
     assert len(code) == 5
     assert 6 in code and 2 not in code
 
@@ -346,18 +347,6 @@ def test_profile_rejects_what_member_validation_rejects(odd):
         code.profile(odd)
     assert str(info.value) == f"vertex {odd!r} not in 0..12"
     assert code.profile(Vertex.TWO) == code.profile(2)
-
-
-def test_from_mask_keeps_its_mask():
-    g = C(200)
-    mask = 1 | 1 << 3 | 1 << 150
-    code = Code.from_mask(g, mask)
-    assert code.mask is mask
-    assert code == Code(g, {0, 3, 150})
-    with pytest.raises(VertexOutOfRange, match=r"vertex 200 not in 0\.\.199"):
-        Code.from_mask(g, mask | 1 << 200)
-    with pytest.raises(ValueError):
-        Code.from_mask(g, -1)
 
 
 def test_code_pickles_after_shares():

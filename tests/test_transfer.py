@@ -1,5 +1,6 @@
 """The transfer-matrix solver, the stored proofs, and the search's routing to them."""
 
+import math
 import os
 import random
 import subprocess
@@ -95,6 +96,39 @@ def test_stored_proofs():
 
 def test_density_floors_come_from_the_proofs():
     assert DENSITY_FLOORS == {LOC: Fraction(1, 3), IDE: Fraction(4, 11)}
+
+
+def _past_the_stored_range(proof):
+    """n from first through the stored range plus two periods."""
+    return range(proof.first, proof.first + len(proof.minima) + 2 * proof.period + 1)
+
+
+@pytest.mark.parametrize("kind, bound", [(LOC, lambda n: -(-n // 3)),
+                                         (IDE, lambda n: -(-4 * n // 11))])
+def test_sharp_bound_comes_from_the_proof(kind, bound):
+    # the paper's ceil(n/3) and ceil(4n/11), for either order of the offsets
+    assert search.lower_bound(12, kind).specific_bound is None
+    for n in _past_the_stored_range(PROOFS[((1, 3), kind)]):
+        for offsets in ((1, 3), (3, 1)):
+            report = search.lower_bound(n, kind, offsets)
+            assert report.specific_bound == bound(n), (offsets, n)
+            assert report.effective == bound(n)
+
+
+# the residues n mod period, each from its first n, where the minimum is one
+# above ceil(n * density)
+EXCESS = {LOC: {2: 14, 3: 15, 5: 17}, IDE: {8: 19, 5: 38, 2: 46}}
+
+
+@pytest.mark.parametrize("kind", [LOC, IDE])
+def test_minimum_exceeds_the_density_bound_by_at_most_one(kind):
+    # the paper's c, c' in {0, 1}; past the stored range the minima repeat
+    # with the period, so two periods more cover every n
+    proof = PROOFS[((1, 3), kind)]
+    for n in _past_the_stored_range(proof):
+        excess = proof.minimum(n) - math.ceil(n * proof.density)
+        start = EXCESS[kind].get(n % proof.period)
+        assert excess == (start is not None and n >= start), n
 
 
 @pytest.mark.parametrize("kind", [LOC, IDE])
