@@ -4,7 +4,8 @@ Every command prints a human-readable report by default and a canonical
 JSON document (schema "v1") with --json.  Exit codes are scriptable:
 0 success/valid, 1 property does not hold (or no code exists, or a
 recomputed proof differs from the stored one), 2 usage error, 3 search
-budget exceeded.
+budget exceeded.  Errors and a blown budget are reported on stderr, except
+that `search --json` reports a blown budget in its document on stdout.
 """
 
 from __future__ import annotations
@@ -219,14 +220,12 @@ def cmd_search(args) -> int:
         else:
             result = _code_of_size(g, kind, args.k, budget=args.budget, progress=progress)
     except BudgetExceeded as exc:
+        if not args.json:
+            raise  # main reports it on stderr
         head = ({"optimum": None} if args.k is None
                 else {"exists": None, "size": args.k, "code": None})
         outcome = head | {"note": str(exc), "engine": "dfs", "proved": False}
-        if args.k is not None and not args.json:
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-        else:
-            _emit(_manifest("search", params, outcome, t0), args.json,
-                  [f"budget exceeded: {exc}"])
+        _emit(_manifest("search", params, outcome, t0), True, [])
         return EXIT_BUDGET
     stats = {
         "examined": result.stats.examined,
@@ -464,16 +463,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CircodesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (UsageError, CircodesError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

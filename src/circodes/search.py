@@ -3,11 +3,11 @@
 Two engines answer.  For locating and identifying codes of C(n;1,3) with
 n >= 13, ``proofs`` stores a transfer-matrix proof of the minimum for every
 n (computed by ``transfer``, re-run by ``circodes prove``).  There
-``min_code_size`` returns the table construction as the proved optimum once
-it has the proved size and passes ``Code.verify``, and
-``exists_code_of_size`` answers None below the minimum and the construction
-padded with non-members at or above it, with no search and no budget.
-Every other question (dominating codes, n < 13, other offsets) runs the
+``_from_proof`` answers every question, the minimum and a fixed size k
+alike, from one lookup: no code below the proved minimum, and at or above
+it the table construction padded with non-members, once ``Code.verify``
+passes; no search and no budget.  Every other question (dominating codes,
+n < 13, other offsets, a construction that fails its check) runs the
 exhaustive search below; ``min_code_size`` bounds it by an order budget,
 ``budget=`` or else ``DEFAULT_SEARCH_BUDGETS[kind]``.  The engine follows
 from the question alone.
@@ -231,7 +231,8 @@ class SearchResult:
     ``outcome`` is None when no code of the kind exists (twin vertices), or
     at a fixed size, when none of that size does.  ``engine`` names what
     answered: "proof" for a stored transfer-matrix proof, "dfs" for the
-    exhaustive search.
+    exhaustive search.  Every proof answer comes from ``_from_proof`` with
+    the note "proved minimum m", whichever entry point asked.
     """
 
     kind: Kind
@@ -382,27 +383,15 @@ def _code_of_size(g: CirculantGraph, kind: Kind, k: int, *, budget: int | None =
                   progress=None) -> SearchResult:
     """The answer of ``exists_code_of_size`` with its engine, stats and note.
 
-    The outcome holds the code of size k, or None, with the note "proved
-    minimum m" when the stored proof answers and "exhaustive" when the
-    search does.  Orders beyond ``budget``, when given, raise BudgetExceeded
-    where a search would start.
+    ``_from_proof`` answers first; the search runs only where it cannot,
+    with the note "exhaustive".  Orders beyond ``budget``, when given,
+    raise BudgetExceeded there.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
-    proof = proof_for(g.offsets, kind, g.n)
-    if proof is not None:
-        floor = proof.minimum(g.n)
-        note = f"proved minimum {floor}"
-        if k < floor:
-            return SearchResult(kind, g.n, None, SearchStats(), note, "proof")
-        answer = _from_proof(g, kind)
-        if answer is not None:
-            members = answer.outcome.certificate.members
-            extra = islice((v for v in range(g.n) if v not in members), k - floor)
-            code = Code(g, members.union(extra))
-            if code.verify(kind):
-                return SearchResult(kind, g.n, Optimum(k, code), SearchStats(), note,
-                                    "proof")
+    answer = _from_proof(g, kind, k)
+    if answer is not None:
+        return answer
     if budget is not None and g.n > budget:
         raise BudgetExceeded(f"order {g.n} exceeds search budget {budget}")
     code, stats = _search_at_size(g, kind, k, progress=progress)
@@ -426,22 +415,35 @@ def _no_code(g: CirculantGraph, kind: Kind) -> SearchResult | None:
         f"closed neighbourhoods"))
 
 
-def _from_proof(g: CirculantGraph, kind: Kind) -> SearchResult | None:
-    """The table construction as a proved optimum, when a stored proof covers g.
+def _from_proof(g: CirculantGraph, kind: Kind, k: int | None = None) -> SearchResult | None:
+    """The stored proof's answer at size k, or at the minimum when k is None.
 
-    None, so that the search runs, unless the construction has the proved
-    size and passes Code.verify.
+    The only place a proof answer is built, with one ``proof_for`` lookup
+    and the note "proved minimum m".  Below m no code exists.  At or above
+    it the answer is the table construction plus the k - m smallest
+    non-members (adding vertices keeps a code valid), after one
+    Code.verify.  None, so that the search runs, where no stored proof
+    covers g or the construction has the wrong size or fails the check.
     """
     proof = proof_for(g.offsets, kind, g.n)
     if proof is None:
         return None
     size = proof.minimum(g.n)
+    k = size if k is None else k
+    note = f"proved minimum {size}"
+    if k < size:
+        return SearchResult(kind, g.n, None, SearchStats(), note, "proof")
     build = (constructions.locating_code_for if kind is Kind.LOCATING
              else constructions.identifying_code_for)
     code = build(g.n)
-    if code.graph != g or len(code) != size or not code.verify(kind):
+    if code.graph != g or len(code) != size:
         return None
-    return SearchResult(kind, g.n, Optimum(size, code), SearchStats(), engine="proof")
+    if k > size:
+        extra = islice((v for v in range(g.n) if v not in code.members), k - size)
+        code = Code(g, code.members.union(extra))
+    if not code.verify(kind):
+        return None
+    return SearchResult(kind, g.n, Optimum(k, code), SearchStats(), note, "proof")
 
 
 def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
@@ -462,7 +464,8 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    answer = _no_code(g, kind) or _from_proof(g, kind)
+    # a proved minimum means a code exists, so only a search asks _no_code
+    answer = _from_proof(g, kind) or _no_code(g, kind)
     if answer is not None:
         return answer
     if threads > 1:

@@ -201,10 +201,11 @@ def test_search_fixed_k_absent_exit_one(capsys):
 
 
 def test_search_budget_exceeded_exit_three(capsys):
-    code, out, _ = run(capsys, "search", "-n", "60", "--offsets", "1,4",
-                       "--kind", "identifying")
+    code, out, err = run(capsys, "search", "-n", "60", "--offsets", "1,4",
+                         "--kind", "identifying")
     assert code == 3
-    assert "budget" in out
+    assert "budget" in err
+    assert out == ""
 
 
 def test_search_budget_json_partial(capsys):

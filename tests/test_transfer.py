@@ -221,6 +221,36 @@ def test_exists_falls_back_to_the_search(monkeypatch):
     assert len(code) == 9 and code.is_locating() and 0 in code
 
 
+@pytest.mark.parametrize("n, kind", [(13, LOC), (41, IDE)])
+def test_proved_minimum_builds_no_all_vertex_code(monkeypatch, n, kind):
+    # a proved minimum means a code exists: no twin check runs
+    def fail(*args, **kwargs):
+        raise AssertionError("asked _no_code")
+    monkeypatch.setattr(search, "_no_code", fail)
+    result = min_code_size(CirculantGraph(n), kind)
+    assert result.engine == "proof"
+    assert result.note == f"proved minimum {result.outcome.size}"
+
+
+@pytest.mark.parametrize("k", [None, 16, 17, 41])
+def test_one_lookup_and_one_verify_per_proof_answer(monkeypatch, k):
+    calls = {"verify": 0, "proof_for": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(Code, "verify", counted("verify", Code.verify))
+    monkeypatch.setattr(search, "proof_for", counted("proof_for", search.proof_for))
+    g = CirculantGraph(41)
+    if k is None:
+        assert min_code_size(g, IDE).outcome.size == 16
+    else:
+        assert len(search.exists_code_of_size(g, IDE, k)) == k
+    assert calls == {"verify": 1, "proof_for": 1}
+
+
 def test_solver_rejects_dmax_four():
     with pytest.raises(ValueError, match="dmax <= 3"):
         transfer.solve((1, 4), LOC)
