@@ -13,12 +13,17 @@ bitmasks; ``_closed_masks`` builds them for the benchmark's trace counter
 (``bench/spans.py``) only.
 
 Vertex subsets are handled as int bitmasks (bit u set means vertex u is
-in the set); ``mask_of`` and ``set_of`` convert in linear time.
+in the set); ``mask_of`` and ``set_of`` convert in linear time.  ``set_of``
+unpacks through ``_flags``, one byte per vertex made from the mask's
+base-2 numeral, which ``itertools.compress`` turns into the vertices in C.
+``Code.members`` is ``set_of`` of the code's mask, and ``Code`` reads the
+same bytes for its share tables.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import compress, count
 
 from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange
 
@@ -46,7 +51,21 @@ def set_of(mask: int) -> frozenset[int]:
     """Unpack a nonnegative bitmask into a frozenset of vertices, in linear time."""
     if mask < 0:
         raise ValueError(f"negative mask {mask}")
-    return frozenset(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    return frozenset(compress(count(), _flags(mask)))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _flags(mask: int) -> bytes:
+    """Byte x is 1 where bit x of the nonnegative ``mask`` is set, else 0.
+
+    The mask's base-2 numeral, reversed so that byte x stands for bit x,
+    with its digits mapped to 0 and 1: one byte per bit up to the top set
+    bit (one zero byte for 0).  ``compress`` over these bytes picks the
+    set bits in ascending order, in C.
+    """
+    return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
 class CirculantGraph:

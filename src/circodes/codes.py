@@ -35,9 +35,19 @@ string of per-vertex digits, summed over its rotations by the pattern.
   0, so every member's entry is exact in any code).
 
 Readers index the tables: ``share`` makes one ``Fraction``,
-``sum_of_shares`` adds the members' entries, and ``heavy_vertices``
-compares each entry with floor(threshold * L) as integers.  The code's
-mask is packed while its members are validated, in one pass.
+``sum_of_shares`` adds the members' entries, picked by
+``itertools.compress`` over the membership bytes, and ``heavy_vertices``
+compares each member's entry with floor(threshold * L) as integers.  Both
+rest on one domination check per code, which ``verify`` records whenever
+it runs.
+
+A code is mask-first: the mask is its only state.  ``Code(graph,
+members)`` packs the iterable in one validating pass, in the order given,
+and ``Code.from_mask`` takes a mask that the constructions and the search
+build directly.  The membership bytes (``circulant._flags``: byte u is 1
+when u is a member), the member frozenset (``circulant.set_of``, which
+unpacks those bytes by ``compress`` in C) and the tables are derived from
+the mask when first read.
 """
 
 from __future__ import annotations
@@ -45,14 +55,15 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
 
-from .circulant import CirculantGraph
-from .errors import NotInCode, ShareUndefined
+from .circulant import CirculantGraph, _flags, set_of
+from .errors import NotInCode, ShareUndefined, VertexOutOfRange
 
 __all__ = [
     "Kind",
@@ -113,34 +124,64 @@ class VerificationResult:
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Code:
-    """A candidate code: a vertex subset of a circulant graph."""
+    """A candidate code: a vertex subset of a circulant graph, held as its mask.
+
+    Bit u of ``mask`` is set when vertex u is a member.  ``Code(graph,
+    members)`` packs and validates an iterable of vertices, ``from_mask``
+    takes the mask itself, and ``members`` is unpacked from the mask when
+    first read.  Equality, hashing, ``len``, ``in`` and pickling read the
+    mask, never the member set.
+    """
 
     graph: CirculantGraph
-    members: frozenset[int]
+    mask: int
 
-    def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        n = self.graph.n
+    def __init__(self, graph: CirculantGraph, members: Iterable[int]):
+        n = graph.n
         digits = bytearray(b"0") * n
         for v in members:
             if type(v) is not int or not 0 <= v < n:
-                self.graph.check_vertex(v)  # raises, unless v is an int subclass
+                graph.check_vertex(v)  # raises, unless v is an int subclass
             digits[v] = 49  # ord("1")
         digits.reverse()  # a base-2 numeral, vertex 0 last
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "mask", int(digits, 2))
+
+    @classmethod
+    def from_mask(cls, graph: CirculantGraph, mask: int) -> Code:
+        """The code whose members are the set bits of ``mask``, 0 <= mask < 2**n."""
+        if mask < 0:
+            raise ValueError(f"negative mask {mask}")
+        if mask.bit_length() > graph.n:
+            raise VertexOutOfRange(f"vertex {mask.bit_length() - 1} not in 0..{graph.n - 1}")
+        code = object.__new__(cls)
+        object.__setattr__(code, "graph", graph)
+        object.__setattr__(code, "mask", mask)
+        return code
 
     def __reduce__(self):
         # the cached tables are memoryviews, which do not pickle
-        return type(self), (self.graph, self.members)
+        return type(self).from_mask, (self.graph, self.mask)
+
+    @cached_property
+    def _membership(self) -> bytes:
+        """Byte u is 1 when u is a member, else 0: n bytes, indexed by u."""
+        return _flags(self.mask).ljust(self.graph.n, b"\0")
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        """The member vertices, unpacked from the mask in C on first read."""
+        return set_of(self.mask)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
+    def __contains__(self, v) -> bool:
+        if type(v) is int:
+            return 0 <= v < self.graph.n and self._membership[v] == 1
+        return v in self.members  # as a set compares: True, 2.0, an IntEnum
 
     def __repr__(self) -> str:
         return f"Code({self.graph!r}, {{{','.join(map(str, sorted(self.members)))}}})"
@@ -149,8 +190,8 @@ class Code:
 
     def shadow(self, u: int) -> frozenset[int]:
         """S intersected with N[u]: the code vertices visible from u."""
-        members = self.members
-        return frozenset(x for x in self.graph.closed_neighborhood(u) if x in members)
+        flags = self._membership
+        return frozenset(x for x in self.graph.closed_neighborhood(u) if flags[x])
 
     @cached_property
     def _shadow_sizes(self) -> Sequence[int]:
@@ -160,17 +201,19 @@ class Code:
         width = _digit_width(len(g.pattern))
         digits = bytearray(n * width)
         low = 0 if _ORDER == "little" else width - 1  # a digit's low byte
-        # byte x of the reversed numeral is 1 iff x is a member
-        digits[low::width] = f"{self.mask:0{n}b}".encode()[::-1].translate(_BITS)
+        digits[low::width] = self._membership
         return _rotated_sum(digits, width, g.pattern, n)
 
     def profile(self, u: int) -> tuple[int, ...]:
         """Shadow sizes over N[u], in ascending order."""
-        n = self.graph.n
+        g = self.graph
+        n = g.n
         if type(u) is not int or not 0 <= u < n:
-            self.graph.check_vertex(u)  # raises, unless u is an int subclass
+            g.check_vertex(u)  # raises, unless u is an int subclass
         sizes = self._shadow_sizes
-        return tuple(sorted([sizes[(u + p) % n] for p in self.graph.pattern]))
+        # |p| < n/2, so base + p lies in -n..n-1, where an index wraps mod n
+        base = u if 2 * u < n else u - n
+        return tuple(sorted([sizes[base + p] for p in g.pattern]))
 
     # -- shares ----------------------------------------------------------
 
@@ -211,20 +254,25 @@ class Code:
         any code, dominating or not; a non-member raises ``NotInCode``.
         """
         self.graph.check_vertex(u)
-        if u not in self.members:
+        if not self._membership[u]:
             raise NotInCode(f"vertex {u} is not in the code")
         return Fraction(self._share_units[u], self._share_scale)
 
+    @cached_property
+    def _dominating(self) -> bool:
+        """Whether every shadow is nonempty; each ``verify`` call records it."""
+        return self.is_dominating().ok
+
     def sum_of_shares(self) -> Fraction:
         """Total share of all code vertices; equals n for dominating codes."""
-        if not self.is_dominating():
+        if not self._dominating:
             raise ShareUndefined("shares are only defined for dominating codes")
         units = self._share_units
-        return Fraction(sum([units[u] for u in self.members]), self._share_scale)
+        return Fraction(sum(compress(units, self._membership)), self._share_scale)
 
     def heavy_vertices(self, threshold: Fraction | int) -> list[int]:
-        """Code vertices whose share strictly exceeds the threshold."""
-        if not self.is_dominating():
+        """Code vertices whose share strictly exceeds the threshold, ascending."""
+        if not self._dominating:
             raise ShareUndefined("shares are only defined for dominating codes")
         # units are integers: units > threshold * L iff units > floor(threshold * L)
         limit = math.floor(threshold * self._share_scale)
@@ -239,6 +287,7 @@ class Code:
         pairs = []  # the smallest colliding pair for each d and side of the wrap
         for d, bits in defects(n, self.mask, self.graph.pattern, kind):
             if not d:
+                self.__dict__["_dominating"] = False
                 return VerificationResult(Status.NOT_DOMINATING, _lowest_bit(bits))
             # u < n - d gives the pair (u, u + d); a wrapping u = i + n - d
             # gives (i, i + n - d).  Both grow with u, so each side's lowest
@@ -252,6 +301,8 @@ class Code:
             if tail:
                 i = _lowest_bit(tail)
                 pairs.append((i, i + split))
+        # every pass that gets past the empty shadows settles domination
+        self.__dict__["_dominating"] = True
         if pairs:
             return VerificationResult(_FAIL_STATUS[kind], min(pairs))
         return VerificationResult(Status.VALID)
@@ -274,7 +325,6 @@ def _lowest_bit(mask: int) -> int:
 # that memoryview.cast reads them; _FORMATS maps a width to its format.
 _ORDER = sys.byteorder
 _FORMATS = {struct.calcsize(f): f for f in "QIHB"}
-_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _digit_width(top: int) -> int:

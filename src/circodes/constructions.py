@@ -7,6 +7,12 @@ blocks with a residue-dependent tail patch so that every order in range
 gets a verified code; for n >= 13 its size is the minimum that the stored
 transfer-matrix proofs (``proofs``) give.
 
+Every block code is built as a mask, with no loop over members: the
+block's base-2 numeral, repeated once per whole block and parsed once,
+with the tail patch's bits set after it (``Code.from_mask``).  Only the
+five thin identifying orders in ``_IDENTIFYING_SPECIALS`` are stored as
+member lists.  A code's members are unpacked only when read.
+
 Periodic codes on the infinite graph (vertex set Z, offsets {1,3}) are
 modeled by ``PeriodicCode``.  ``verify_periodic`` runs the whole-code kernel
 ``codes.defects`` on a finite cycle that the periodic code tiles, long
@@ -111,6 +117,19 @@ PERIODIC_LOCATING_CODE = PeriodicCode(LOCATING_BLOCK_PERIOD, LOCATING_BLOCK)
 PERIODIC_IDENTIFYING_CODE = PeriodicCode(IDENTIFYING_BLOCK_PERIOD, IDENTIFYING_BLOCK)
 
 
+def _numeral(period: int, residues) -> str:
+    """One period of a periodic set as a base-2 numeral, residue 0 last.
+
+    Repeated t times and parsed once, it is the mask of t periods from
+    vertex 0: linear in t * period, with no loop over members.
+    """
+    return format(mask_of(residues), f"0{period}b")
+
+
+_LOCATING_NUMERAL = _numeral(LOCATING_BLOCK_PERIOD, LOCATING_BLOCK)
+_IDENTIFYING_NUMERAL = _numeral(IDENTIFYING_BLOCK_PERIOD, IDENTIFYING_BLOCK)
+
+
 def density(p: PeriodicCode) -> Fraction:
     """Density of a periodic set: residues per period, in lowest terms."""
     return Fraction(len(p.residues), p.period)
@@ -127,9 +146,7 @@ def verify_periodic(p: PeriodicCode, kind: Kind) -> VerificationResult:
     first vertex, which lies below the period.
     """
     lift = CirculantGraph(-(-(p.period + 12) // p.period) * p.period)
-    # the residue block's binary numeral repeated N / period times, parsed once
-    block = format(mask_of(p.residues), f"0{p.period}b")
-    mask = int(block * (lift.n // p.period), 2)
+    mask = int(_numeral(p.period, p.residues) * (lift.n // p.period), 2)
     pairs = []
     for d, bits in defects(lift.n, mask, lift.pattern, kind):
         u = _lowest_bit(bits)
@@ -139,10 +156,6 @@ def verify_periodic(p: PeriodicCode, kind: Kind) -> VerificationResult:
     if pairs:
         return VerificationResult(_FAIL_STATUS[kind], min(pairs))
     return VerificationResult(Status.VALID)
-
-
-def _blocks(period: int, pattern: tuple[int, ...], count: int) -> list[int]:
-    return [period * i + r for i in range(count) for r in pattern]
 
 
 def construct_A(t: int) -> Code:
@@ -155,8 +168,7 @@ def construct_A(t: int) -> Code:
         raise UnsupportedOrder(
             f"construct_A requires t >= 2; C({6 * t};1,3) is not a valid graph"
         )
-    g = CirculantGraph(6 * t)
-    return Code(g, _blocks(6, LOCATING_BLOCK, t))
+    return _tiled_code(6 * t, _LOCATING_NUMERAL, ())
 
 
 def construct_B(t: int) -> Code:
@@ -166,8 +178,7 @@ def construct_B(t: int) -> Code:
     """
     if t < 1:
         raise UnsupportedOrder("construct_B requires t >= 1")
-    g = CirculantGraph(11 * t)
-    return Code(g, _blocks(11, IDENTIFYING_BLOCK, t))
+    return _tiled_code(11 * t, _IDENTIFYING_NUMERAL, ())
 
 
 def locating_code_size(n: int) -> int:
@@ -207,11 +218,12 @@ def _checked(code: Code, size: int) -> Code:
     return code
 
 
-def _tiled_code(n: int, period: int, pattern: tuple[int, ...], patch: tuple[int, ...]) -> Code:
-    members = set(_blocks(period, pattern, n // period))
+def _tiled_code(n: int, numeral: str, patch: tuple[int, ...]) -> Code:
+    """Full blocks from vertex 0, with the tail patch {n + o : o in patch} set."""
+    mask = int(numeral * (n // len(numeral)), 2)
     for o in patch:
-        members.add(n + o)
-    return Code(CirculantGraph(n), members)
+        mask |= 1 << (n + o)
+    return Code.from_mask(CirculantGraph(n), mask)
 
 
 def locating_code_for(n: int) -> Code:
@@ -222,7 +234,7 @@ def locating_code_for(n: int) -> Code:
     for every n.
     """
     size = locating_code_size(n)  # raises UnsupportedOrder below 13
-    return _checked(_tiled_code(n, 6, LOCATING_BLOCK, _LOCATING_ROWS[n % 6]), size)
+    return _checked(_tiled_code(n, _LOCATING_NUMERAL, _LOCATING_ROWS[n % 6]), size)
 
 
 def identifying_code_for(n: int) -> Code:
@@ -237,5 +249,5 @@ def identifying_code_for(n: int) -> Code:
     if n in _IDENTIFYING_SPECIALS:
         code = Code(CirculantGraph(n), _IDENTIFYING_SPECIALS[n])
     else:
-        code = _tiled_code(n, 11, IDENTIFYING_BLOCK, _IDENTIFYING_ROWS[n % 11])
+        code = _tiled_code(n, _IDENTIFYING_NUMERAL, _IDENTIFYING_ROWS[n % 11])
     return _checked(code, size)

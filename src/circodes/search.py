@@ -69,10 +69,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 
 from . import constructions
-from .circulant import CirculantGraph, set_of
+from .circulant import CirculantGraph
 from .codes import Code, Kind, defects
 from .errors import BudgetExceeded, OracleTooLarge
 from .proofs import proof_for
@@ -274,7 +274,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     if k >= n:
         # the full vertex set is the only candidate: valid unless twins exist
         valid = next(defects(n, (1 << n) - 1, pattern, kind), None) is None
-        return (Code(g, range(n)) if valid else None), SearchStats()
+        return (Code.from_mask(g, (1 << n) - 1) if valid else None), SearchStats()
     dmax = offsets[-1]
     cap = 2 * dmax + 1
     steady = 4 * dmax - 1
@@ -361,7 +361,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
         dfs(0, 1, 1, 0)
     stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0,
                         leaf_checks)
-    return (Code(g, set_of(found[0])) if found else None), stats
+    return (Code.from_mask(g, found[0]) if found else None), stats
 
 
 def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
@@ -406,7 +406,7 @@ def _no_code(g: CirculantGraph, kind: Kind) -> SearchResult | None:
     set is one.  That fails only for identifying codes on graphs with twins:
     vertices with equal closed neighbourhoods, such as C(5;1,2).
     """
-    witness = Code(g, range(g.n)).verify(kind).witness
+    witness = Code.from_mask(g, (1 << g.n) - 1).verify(kind).witness
     if witness is None:
         return None
     u, v = witness
@@ -421,9 +421,10 @@ def _from_proof(g: CirculantGraph, kind: Kind, k: int | None = None) -> SearchRe
     The only place a proof answer is built, with one ``proof_for`` lookup
     and the note "proved minimum m".  Below m no code exists.  At or above
     it the answer is the table construction plus the k - m smallest
-    non-members (adding vertices keeps a code valid), after one
-    Code.verify.  None, so that the search runs, where no stored proof
-    covers g or the construction has the wrong size or fails the check.
+    non-members, set as the lowest zero bits of its mask (adding vertices
+    keeps a code valid), after one Code.verify.  None, so that the search
+    runs, where no stored proof covers g or the construction has the wrong
+    size or fails the check.
     """
     proof = proof_for(g.offsets, kind, g.n)
     if proof is None:
@@ -439,11 +440,23 @@ def _from_proof(g: CirculantGraph, kind: Kind, k: int | None = None) -> SearchRe
     if code.graph != g or len(code) != size:
         return None
     if k > size:
-        extra = islice((v for v in range(g.n) if v not in code.members), k - size)
-        code = Code(g, code.members.union(extra))
+        free = code.mask ^ ((1 << g.n) - 1)
+        code = Code.from_mask(g, code.mask | _lowest_bits(free, k - size))
     if not code.verify(kind):
         return None
     return SearchResult(kind, g.n, Optimum(k, code), SearchStats(), note, "proof")
+
+
+def _lowest_bits(mask: int, count: int) -> int:
+    """The ``count`` lowest set bits of ``mask``, or all of them if it has fewer."""
+    lo, hi = 0, mask.bit_length()
+    while lo < hi:  # the shortest prefix of mask that holds count bits
+        mid = (lo + hi) // 2
+        if (mask & ((1 << mid) - 1)).bit_count() < count:
+            lo = mid + 1
+        else:
+            hi = mid
+    return mask & ((1 << lo) - 1)
 
 
 def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
@@ -504,6 +517,6 @@ def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
                 mask |= 1 << v
             if next(defects(n, mask, g.pattern, kind), None) is None:
                 stats = SearchStats(examined, 0, 0, time.perf_counter() - t0, examined)
-                return SearchResult(kind, n, Optimum(k, Code(g, members)), stats)
+                return SearchResult(kind, n, Optimum(k, Code.from_mask(g, mask)), stats)
     # no subset is valid, the full set included: g has twin vertices
     return _no_code(g, kind)

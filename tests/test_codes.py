@@ -16,6 +16,7 @@ from circodes import (
     heavy_profile_violations,
     locating_code_for,
 )
+from circodes import codes
 from circodes.circulant import set_of
 from circodes.codes import defects
 
@@ -355,3 +356,92 @@ def test_code_pickles_after_shares():
     copy = pickle.loads(pickle.dumps(code))
     assert copy == code and copy.mask == code.mask
     assert [copy.share(u) for u in sorted(copy.members)] == shares
+
+
+# -- mask-first representation -----------------------------------------------
+
+REPRESENTED = [
+    (13, {0, 1, 6, 7, 10}),
+    (22, {0, 1, 4, 5, 11, 12, 15, 16}),
+    (20, set()),
+    (17, set(range(17))),
+]
+
+
+@pytest.mark.parametrize("n, members", REPRESENTED)
+def test_mask_and_members_give_the_same_code(n, members):
+    g = C(n)
+    packed = Code(g, sorted(members, reverse=True))
+    from_mask = Code.from_mask(g, sum(1 << v for v in members))
+    assert from_mask == packed and hash(from_mask) == hash(packed)
+    listed = ",".join(map(str, sorted(members)))
+    assert repr(from_mask) == repr(packed) == f"Code({g!r}, {{{listed}}})"
+    assert len(from_mask) == len(packed) == len(members)
+    assert [u in from_mask for u in range(-1, n + 1)] == [u in members for u in range(-1, n + 1)]
+    assert (Vertex.TWO in from_mask) is (2 in members)
+    assert (True in from_mask) is (1 in members) and "1" not in from_mask
+    copy = pickle.loads(pickle.dumps(from_mask))
+    assert copy == packed and copy.mask == packed.mask and copy.members == frozenset(members)
+    assert from_mask.members == packed.members == frozenset(members)
+    if from_mask.is_dominating():
+        assert from_mask.sum_of_shares() == packed.sum_of_shares() == n
+        assert [from_mask.share(u) for u in sorted(members)] == \
+            [packed.share(u) for u in sorted(members)]
+        assert from_mask.heavy_vertices(2) == packed.heavy_vertices(2)
+
+
+def test_codes_on_other_graphs_differ():
+    assert Code.from_mask(C(13), 3) != Code.from_mask(C(14), 3)
+    assert Code.from_mask(C(13), 3) != Code.from_mask(C(13), 5)
+
+
+@pytest.mark.parametrize("mask", [-1, -(1 << 20), 1 << 13, (1 << 13) | 1, 1 << 40])
+def test_mask_entry_point_rejects_masks_outside_the_graph(mask):
+    with pytest.raises((ValueError, VertexOutOfRange)):
+        Code.from_mask(C(13), mask)
+
+
+def test_mask_entry_point_names_the_top_bit():
+    with pytest.raises(VertexOutOfRange, match=r"vertex 13 not in 0\.\.12"):
+        Code.from_mask(C(13), (1 << 13) | 1)
+    with pytest.raises(ValueError, match="negative mask"):
+        Code.from_mask(C(13), -1)
+    assert Code.from_mask(C(13), (1 << 13) - 1).members == frozenset(range(13))
+
+
+def test_list_rejection_names_the_first_bad_member_in_the_order_given():
+    g = C(13)
+    for members, bad in (([0, 13, -1], 13), ([0, -1, 13], -1), ([2, True, 14], True)):
+        with pytest.raises(VertexOutOfRange) as info:
+            Code(g, members)
+        assert str(info.value) == f"vertex {bad!r} not in 0..12"
+    assert len(Code(g, iter([3, 3, 5]))) == 2
+
+
+def test_domination_is_checked_once_per_code(monkeypatch):
+    calls = []
+
+    def counted(n, mask, pattern, kind, anchors=None):
+        calls.append(kind)
+        return defects(n, mask, pattern, kind, anchors)
+    monkeypatch.setattr(codes, "defects", counted)
+    code = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
+    assert code.verify(Kind.IDENTIFYING)
+    code.sum_of_shares(), code.heavy_vertices(2), code.heavy_vertices(3)
+    assert calls == [Kind.IDENTIFYING]
+    fresh = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
+    fresh.sum_of_shares(), fresh.heavy_vertices(2)
+    assert calls == [Kind.IDENTIFYING, Kind.DOMINATING]
+    sparse = Code(C(22), {0})
+    assert not sparse.verify(Kind.LOCATING)
+    with pytest.raises(ShareUndefined):
+        sparse.sum_of_shares()
+    assert calls == [Kind.IDENTIFYING, Kind.DOMINATING, Kind.LOCATING]
+
+
+def test_members_are_plain_ints():
+    g = C(13)
+    for members in (frozenset([0, Vertex.TWO]), [0, Vertex.TWO], iter([Vertex.TWO, 0])):
+        code = Code(g, members)
+        assert code.members == {0, 2} and {type(v) for v in code.members} == {int}
+        assert repr(code) == "Code(C(13; 1,3), {0,2})"

@@ -287,3 +287,38 @@ def test_wrong_table_row_raises(monkeypatch):
     monkeypatch.setitem(constructions._IDENTIFYING_SPECIALS, 13, (0, 1, 6, 7))
     with pytest.raises(RuntimeError, match="n=13 produced size 4, expected 5"):
         identifying_code_for(13)
+
+
+# -- block repetition against block arithmetic ---------------------------------
+
+def _reference(n, period, block, rows):
+    """The construction's members by arithmetic: whole blocks, then the tail patch."""
+    members = {period * i + r for i in range(n // period) for r in block}
+    return sorted(members | {n + o for o in rows[n % period]})
+
+
+NEAR_10K = [10**4 + r for r in range(11)]
+
+
+@pytest.mark.parametrize("kind", [Kind.LOCATING, Kind.IDENTIFYING])
+def test_block_repetition_matches_block_arithmetic(kind):
+    # certificates must stay byte-identical to the member-by-member build
+    if kind is Kind.LOCATING:
+        build, first, period, block, rows = (locating_code_for, 13, 6, (0, 1),
+                                             constructions._LOCATING_ROWS)
+    else:
+        build, first, period, block, rows = (identifying_code_for, 11, 11, (0, 1, 4, 5),
+                                             constructions._IDENTIFYING_ROWS)
+    for n in [*range(first, 401), *NEAR_10K]:
+        code = build(n)
+        special = constructions._IDENTIFYING_SPECIALS.get(n) if period == 11 else None
+        expected = sorted(special) if special else _reference(n, period, block, rows)
+        assert sorted(code.members) == expected, n
+        assert code.graph == CirculantGraph(n) and len(code) == len(expected)
+
+
+def test_block_families_match_block_arithmetic():
+    for t in range(2, 60):
+        assert sorted(construct_A(t).members) == _reference(6 * t, 6, (0, 1), {0: ()})
+    for t in range(1, 40):
+        assert sorted(construct_B(t).members) == _reference(11 * t, 11, (0, 1, 4, 5), {0: ()})

@@ -251,6 +251,44 @@ def test_one_lookup_and_one_verify_per_proof_answer(monkeypatch, k):
     assert calls == {"verify": 1, "proof_for": 1}
 
 
+class _Unread:
+    """A descriptor that fails any read of ``Code.members``."""
+
+    def __get__(self, code, owner=None):
+        raise AssertionError("read Code.members")
+
+
+@pytest.mark.parametrize("kind", [LOC, IDE])
+def test_proof_answers_never_read_members(monkeypatch, kind):
+    # a proof answer is built and checked as a mask, at any n
+    n = 10**5
+    g = CirculantGraph(n)
+    size = proof_for((1, 3), kind, n).minimum(n)
+    monkeypatch.setattr(Code, "members", _Unread())
+    result = min_code_size(g, kind)
+    assert result.engine == "proof" and result.outcome.size == len(result.outcome.certificate) == size
+    for k in (size, size + 2):
+        code = search.exists_code_of_size(g, kind, k)
+        assert len(code) == k and code.verify(kind)
+    padded = search.exists_code_of_size(g, kind, size + 2)
+    # the two added members are the two smallest non-members of the construction
+    bits = format(result.outcome.certificate.mask, f"0{n}b")[::-1]  # bits[v]: vertex v
+    first = bits.index("0")
+    second = bits.index("0", first + 1)
+    assert padded.mask == result.outcome.certificate.mask | 1 << first | 1 << second
+
+
+def test_padding_reaches_every_vertex():
+    g = CirculantGraph(61)
+    code = search.exists_code_of_size(g, IDE, 61)
+    assert code.mask == (1 << 61) - 1
+    assert [len(search.exists_code_of_size(g, IDE, k)) for k in range(23, 62)] == \
+        list(range(23, 62))
+    assert search._lowest_bits(0b1011010, 2) == 0b1010
+    assert search._lowest_bits(0b1011010, 9) == 0b1011010
+    assert search._lowest_bits(0b1011010, 0) == 0
+
+
 def test_solver_rejects_dmax_four():
     with pytest.raises(ValueError, match="dmax <= 3"):
         transfer.solve((1, 4), LOC)
