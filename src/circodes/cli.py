@@ -1,11 +1,18 @@
 """Command-line interface: verify, construct, search, table, density, prove.
 
 Every command prints a human-readable report by default and a canonical
-JSON document (schema "v1") with --json.  Exit codes are scriptable:
-0 success/valid, 1 property does not hold (or no code exists, or a
-recomputed proof differs from the stored one), 2 usage error, 3 search
-budget exceeded.  Errors and a blown budget are reported on stderr, except
-that `search --json` reports a blown budget in its document on stdout.
+JSON document (schema "v1") with --json.  A command builds its outcome
+once; it renders the text report only without --json, and under --json
+prints the document alone.  Exit codes are scriptable: 0 success/valid,
+1 property does not hold (or no code exists, or a recomputed proof differs
+from the stored one), 2 usage error, 3 search budget exceeded.  Errors and
+a blown budget are reported on stderr, except that `search --json` reports
+a blown budget in its document on stdout.
+
+`main` parses its arguments once, with the command's own parser; the
+top-level parser only reports --help, a missing or unknown command and
+arguments the command does not take, so every message and exit code is
+argparse's own.
 """
 
 from __future__ import annotations
@@ -82,21 +89,19 @@ def _parse_code_arg(text: str) -> list[int]:
 PARAMETER_KEYS = ("n", "offsets", "kind", "k", "budget", "threads", "seed")
 
 
-def _manifest(command: str, params: dict, outcome: dict, t0: float) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "parameters": dict.fromkeys(PARAMETER_KEYS) | params,
-        "outcome": outcome,
-        "timing": {"seconds": round(time.perf_counter() - t0, 6)},
-    }
-
-
-def _emit(manifest: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(as_json: bool, command: str, params: dict, outcome: dict, t0: float,
+          text) -> None:
+    """Print the v1 document with --json, else the lines that text() renders."""
     if as_json:
-        print(json.dumps(manifest, sort_keys=True))
+        print(json.dumps({
+            "schema": SCHEMA_VERSION,
+            "command": command,
+            "parameters": dict.fromkeys(PARAMETER_KEYS) | params,
+            "outcome": outcome,
+            "timing": {"seconds": round(time.perf_counter() - t0, 6)},
+        }, sort_keys=True))
     else:
-        for line in lines:
+        for line in text():
             print(line)
 
 
@@ -138,12 +143,8 @@ def cmd_verify(args) -> int:
         "witness": list(result.witness) if isinstance(result.witness, tuple)
                    else result.witness,
     }
-    lines = [f"{code!r}: {result.status.value}"
-             + (f", witness {result.witness}" if result.witness is not None else "")]
     if args.shadows:
-        shadows = {u: sorted(code.shadow(u)) for u in range(g.n)}
-        outcome["shadows"] = {str(u): s for u, s in shadows.items()}
-        lines += [f"  shadow[{u}] = {s}" for u, s in shadows.items()]
+        outcome["shadows"] = {str(u): sorted(code.shadow(u)) for u in range(g.n)}
     wanted = [name for name, on in (("shares", args.shares), ("heavy", thr is not None)) if on]
     if wanted and not result.ok:
         outcome["skipped"] = wanted
@@ -152,20 +153,29 @@ def cmd_verify(args) -> int:
                   f"the code is {result.status.value}", file=sys.stderr)
     elif wanted:
         if args.shares:
-            shares = _share_texts(code)
-            outcome["shares"] = shares
+            outcome["shares"] = _share_texts(code)
             outcome["sum_of_shares"] = _fraction_str(code.sum_of_shares())
-            lines += [f"  share[{u}] = {s}" for u, s in shares.items()]
-            lines.append(f"  sum of shares = {outcome['sum_of_shares']}")
         if thr is not None:
-            heavy = {u: code.profile(u) for u in code.heavy_vertices(thr)}
-            outcome["heavy"] = {str(u): list(p) for u, p in heavy.items()}
-            lines.append(f"  heavy (share > {_fraction_str(thr)}): "
-                         + (", ".join(f"{u} profile {p}" for u, p in heavy.items())
-                            or "none"))
+            outcome["heavy"] = {str(u): list(code.profile(u))
+                                for u in code.heavy_vertices(thr)}
+
+    def text():
+        yield (f"{code!r}: {result.status.value}"
+               + (f", witness {result.witness}" if result.witness is not None else ""))
+        for u, s in outcome.get("shadows", {}).items():
+            yield f"  shadow[{u}] = {s}"
+        if "shares" in outcome:
+            for u, s in outcome["shares"].items():
+                yield f"  share[{u}] = {s}"
+            yield f"  sum of shares = {outcome['sum_of_shares']}"
+        if "heavy" in outcome:
+            yield (f"  heavy (share > {_fraction_str(thr)}): "
+                   + (", ".join(f"{u} profile {tuple(p)}" for u, p in outcome["heavy"].items())
+                      or "none"))
+
     params = {"n": args.n, "offsets": offsets, "kind": kind.value,
               "code": sorted(set(members))}
-    _emit(_manifest("verify", params, outcome, t0), args.json, lines)
+    _emit(args.json, "verify", params, outcome, t0, text)
     return EXIT_OK if result.ok else EXIT_INVALID
 
 
@@ -189,10 +199,10 @@ def cmd_construct(args) -> int:
         "verified": result.ok,
         "status": result.status.value,
     }
-    lines = [f"C({args.n};1,3) {kind.value} code: {sorted(code.members)}",
-             f"size {len(code)}, verification: {result.status.value}"]
     params = {"n": args.n, "offsets": [1, 3], "kind": kind.value}
-    _emit(_manifest("construct", params, outcome, t0), args.json, lines)
+    _emit(args.json, "construct", params, outcome, t0, lambda: (
+        f"C({args.n};1,3) {kind.value} code: {outcome['code']}",
+        f"size {len(code)}, verification: {result.status.value}"))
     return EXIT_OK if result.ok else EXIT_INVALID
 
 
@@ -210,7 +220,6 @@ def cmd_search(args) -> int:
     kind = _parse_kind(args.kind)
     offsets = _parse_ints(args.offsets, "offsets")
     g = CirculantGraph(args.n, offsets)
-    name = f"C({args.n};{','.join(map(str, g.offsets))})"
     progress = _progress_printer(args.progress)
     params = {"n": args.n, "offsets": offsets, "kind": kind.value, "k": args.k,
               "budget": args.budget}
@@ -225,7 +234,7 @@ def cmd_search(args) -> int:
         head = ({"optimum": None} if args.k is None
                 else {"exists": None, "size": args.k, "code": None})
         outcome = head | {"note": str(exc), "engine": "dfs", "proved": False}
-        _emit(_manifest("search", params, outcome, t0), True, [])
+        _emit(True, "search", params, outcome, t0, None)
         return EXIT_BUDGET
     stats = {
         "examined": result.stats.examined,
@@ -234,41 +243,37 @@ def cmd_search(args) -> int:
         "leaf_checks": result.stats.leaf_checks,
         "wall_time": round(result.stats.wall_time, 6),
     }
+    found = result.outcome
+    code = None if found is None else sorted(found.certificate.members)
     if args.k is not None:
-        found = result.outcome
-        code = None if found is None else sorted(found.certificate.members)
-        lines = [f"{name} has a {kind.value} code of size {args.k}: {code}"
-                 if code is not None else
-                 f"{name} has no {kind.value} code of size {args.k} ({result.note})"]
-        outcome = {"exists": code is not None, "size": args.k, "code": code,
-                   "stats": stats, "engine": result.engine, "proved": True}
-        _emit(_manifest("search", params, outcome, t0), args.json, lines)
-        return EXIT_OK if code is not None else EXIT_INVALID
-    opt = result.outcome
-    bounds = lower_bound(args.n, kind, tuple(sorted(offsets)))
-    outcome = {
-        "optimum": opt.size if opt is not None else None,
-        "code": sorted(opt.certificate.members) if opt is not None else None,
-        "lower_bound": bounds.effective,
-        "stats": stats,
-        "engine": result.engine,
-        "proved": True,
-    }
-    if opt is None:
-        outcome["note"] = result.note
-        _emit(_manifest("search", params, outcome, t0), args.json,
-              [f"{name}: {result.note}"])
-        return EXIT_INVALID
-    lines = [f"minimum {kind.value} code of {name}: size {opt.size}",
-             f"certificate: {sorted(opt.certificate.members)}"]
-    if result.engine == "proof":
-        lines.append("optimal by the stored transfer-matrix proof; "
-                     "certificate checked by Code.verify")
+        outcome = {"exists": code is not None, "size": args.k, "code": code}
     else:
-        lines.append(f"examined {result.stats.examined} candidates in "
-                     f"{result.stats.wall_time:.2f}s")
-    _emit(_manifest("search", params, outcome, t0), args.json, lines)
-    return EXIT_OK
+        outcome = {"optimum": None if found is None else found.size, "code": code,
+                   "lower_bound": lower_bound(args.n, kind, tuple(sorted(offsets))).effective}
+        if found is None:
+            outcome["note"] = result.note
+    outcome |= {"stats": stats, "engine": result.engine, "proved": True}
+
+    def text():
+        name = f"C({args.n};{','.join(map(str, g.offsets))})"
+        if args.k is not None:
+            yield (f"{name} has a {kind.value} code of size {args.k}: {code}"
+                   if code is not None else
+                   f"{name} has no {kind.value} code of size {args.k} ({result.note})")
+        elif code is None:
+            yield f"{name}: {result.note}"
+        else:
+            yield f"minimum {kind.value} code of {name}: size {found.size}"
+            yield f"certificate: {code}"
+            if result.engine == "proof":
+                yield ("optimal by the stored transfer-matrix proof; "
+                       "certificate checked by Code.verify")
+            else:
+                yield (f"examined {result.stats.examined} candidates in "
+                       f"{result.stats.wall_time:.2f}s")
+
+    _emit(args.json, "search", params, outcome, t0, text)
+    return EXIT_OK if code is not None else EXIT_INVALID
 
 
 def cmd_table(args) -> int:
@@ -309,13 +314,16 @@ def cmd_table(args) -> int:
         writer.writerows(rows)
         print(buf.getvalue(), end="")
         return EXIT_OK
-    lines = [f"{'n':>4} {'bound':>6} {'constr':>7} {'optimum':>8} match"]
-    for r in rows:
-        lines.append(f"{r['n']:>4} {r['lower_bound']:>6} "
-                     f"{r['construction'] if r['construction'] is not None else '-':>7} "
-                     f"{r['optimum'] if r['optimum'] is not None else '-':>8} "
-                     f"{r['match']}")
-    _emit(_manifest("table", params, {"rows": rows}, t0), args.json, lines)
+
+    def text():
+        yield f"{'n':>4} {'bound':>6} {'constr':>7} {'optimum':>8} match"
+        for r in rows:
+            yield (f"{r['n']:>4} {r['lower_bound']:>6} "
+                   f"{r['construction'] if r['construction'] is not None else '-':>7} "
+                   f"{r['optimum'] if r['optimum'] is not None else '-':>8} "
+                   f"{r['match']}")
+
+    _emit(args.json, "table", params, {"rows": rows}, t0, text)
     return EXIT_OK
 
 
@@ -339,12 +347,12 @@ def cmd_density(args) -> int:
         "floor": _fraction_str(floor) if floor else None,
         "meets_floor": (rho >= floor) if floor else None,
     }
-    rel = "meets" if floor and rho >= floor else "below"
-    lines = [f"{p!r}: density {_fraction_str(rho)}, {result.status.value}"
-             + (f", {rel} the {_fraction_str(floor)} floor" if floor else "")]
     params = {"offsets": [1, 3], "kind": kind.value, "period": args.period,
               "residues": sorted(set(residues))}
-    _emit(_manifest("density", params, outcome, t0), args.json, lines)
+    _emit(args.json, "density", params, outcome, t0, lambda: (
+        f"{p!r}: density {outcome['density']}, {result.status.value}"
+        + (f", {'meets' if outcome['meets_floor'] else 'below'} the {outcome['floor']} floor"
+           if floor else ""),))
     return EXIT_OK if result.ok else EXIT_INVALID
 
 
@@ -361,7 +369,6 @@ def cmd_prove(args) -> int:
     proof = transfer.solve(offsets, kind)
     stored = PROOFS.get((offsets, kind))
     matches = None if stored is None else proof == stored
-    last = proof.first + len(proof.minima) - 1
     outcome = {
         "live_states": proof.live_states,
         "onset": proof.onset,
@@ -372,21 +379,21 @@ def cmd_prove(args) -> int:
         "minima": list(proof.minima),
         "matches_stored": matches,
     }
-    label = ",".join(map(str, offsets))
-    lines = [f"C(n;{label}) {kind.value} codes, n >= {proof.first}: "
-             f"{proof.live_states} live states",
-             f"D(m + {proof.period}) = D(m) + {proof.increment} for m >= {proof.onset}; "
-             f"density {_fraction_str(proof.density)}",
-             f"minimum for n = {proof.first}..{last}: "
-             + " ".join("-" if m is None else str(m) for m in proof.minima),
-             {None: "no stored proof", True: "matches the stored proof",
-              False: "DIFFERS from the stored proof"}[matches]]
     params = {"offsets": list(offsets), "kind": kind.value}
-    _emit(_manifest("prove", params, outcome, t0), args.json, lines)
+    _emit(args.json, "prove", params, outcome, t0, lambda: (
+        f"C(n;{','.join(map(str, offsets))}) {kind.value} codes, n >= {proof.first}: "
+        f"{proof.live_states} live states",
+        f"D(m + {proof.period}) = D(m) + {proof.increment} for m >= {proof.onset}; "
+        f"density {outcome['density']}",
+        f"minimum for n = {proof.first}..{proof.first + len(proof.minima) - 1}: "
+        + " ".join("-" if m is None else str(m) for m in proof.minima),
+        {None: "no stored proof", True: "matches the stored proof",
+         False: "DIFFERS from the stored proof"}[matches]))
     return EXIT_INVALID if matches is False else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's own parser by command name."""
     parser = argparse.ArgumentParser(
         prog="circodes",
         description="Locating and identifying codes in circulant graphs.",
@@ -446,21 +453,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offsets", default="1,3", help="largest offset at most 3")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_prove)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process and only read afterwards.
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers, built once per process and only read afterwards.
 
-    Building it takes longer than a short command such as `construct`, so
-    repeated in-process calls to main reuse it.
+    Building them takes longer than a short command such as `construct`, so
+    repeated in-process calls to main reuse them.
     """
-    return build_parser()
+    return _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace that build_parser().parse_args(argv) gives, in one pass.
+
+    A known command's own parser reads everything after its name.  The
+    top-level parser reports --help, a missing or unknown command and
+    arguments the command does not take, with argparse's own messages.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

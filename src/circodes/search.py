@@ -379,16 +379,22 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
     return None if outcome is None else outcome.certificate
 
 
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
+
+
 def _code_of_size(g: CirculantGraph, kind: Kind, k: int, *, budget: int | None = None,
                   progress=None) -> SearchResult:
     """The answer of ``exists_code_of_size`` with its engine, stats and note.
 
     ``_from_proof`` answers first; the search runs only where it cannot,
     with the note "exhaustive".  Orders beyond ``budget``, when given,
-    raise BudgetExceeded there.
+    raise BudgetExceeded there; a negative budget is rejected at once.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be within 1..{g.n}, got {k}")
+    _check_budget(budget)
     answer = _from_proof(g, kind, k)
     if answer is not None:
         return answer
@@ -468,8 +474,9 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     iterates k upward from the effective lower bound, so the first hit is
     optimal.  Orders beyond the budget (DEFAULT_SEARCH_BUDGETS[kind] unless
     given) raise BudgetExceeded naming the order, the budget and the lower
-    bound.  When no code exists at all (twin vertices), the outcome is None
-    and the note names a twin pair.
+    bound; a negative budget is rejected at once, proved or not, and 0
+    searches nothing.  When no code exists at all (twin vertices), the
+    outcome is None and the note names a twin pair.
 
     The search runs in one process.  ``threads`` stays for callers that
     pass it on questions a proof answers: below 1 it is rejected at once,
@@ -477,6 +484,7 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    _check_budget(budget)
     # a proved minimum means a code exists, so only a search asks _no_code
     answer = _from_proof(g, kind) or _no_code(g, kind)
     if answer is not None:

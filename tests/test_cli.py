@@ -1,9 +1,13 @@
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from circodes import CirculantGraph, Code, Kind, min_code_size, search
+from circodes import CirculantGraph, Code, Kind, cli, min_code_size, search
 from circodes.cli import main
 
 
@@ -289,7 +293,9 @@ def test_threads_below_one_exit_two(capsys, argv, threads):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"unrecognized arguments: --threads={threads}" in captured.err
+    # reported by the top-level parser, as argparse reports leftovers
+    assert captured.err.splitlines()[-1] == (
+        f"circodes: error: unrecognized arguments: --threads={threads}")
 
 
 @pytest.mark.parametrize("n, offsets, pair", [("5", "1,2", "0 and 1"), ("3", "1", "0 and 1"),
@@ -588,3 +594,168 @@ def test_density_malformed_residues_exit_two(capsys):
     code, _, err = run(capsys, "density", "--period", "6", "--residues", "0,9",
                        "--kind", "locating")
     assert code == 2
+
+
+# -- negative search budgets -----------------------------------------------------
+
+@pytest.mark.parametrize("n", ["12", "13"])  # searched, proved
+@pytest.mark.parametrize("k", [(), ("--k", "5")])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_search_negative_budget_exit_two(capsys, n, k, fmt):
+    code, out, err = run(capsys, "search", "-n", n, "--kind", "locating", *k,
+                         "--budget", "-1", *fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: budget must be at least 0, got -1\n"
+
+
+# -- argument parsing --------------------------------------------------------------
+
+COMMANDS = ("verify", "construct", "search", "table", "density", "prove")
+
+PARSE_CASES = {
+    "verify": ["verify", "-n", "14", "--code", "0,1,6,7,12,13", "--kind", "locating",
+               "--shares", "--heavy", "3"],
+    "construct": ["construct", "-n", "22", "--kind", "identifying", "--json"],
+    "search": ["search", "-n", "12", "--offsets", "1,4", "--kind", "locating", "--k", "5",
+               "--budget", "20", "--progress"],
+    "table": ["table", "--kind", "locating", "--from", "13", "--to", "15", "--csv"],
+    "density": ["density", "--period", "6", "--residues", "0,1", "--kind", "locating"],
+    "prove": ["prove", "--kind", "identifying", "--offsets", "1,2", "--json"],
+    **{f"{command} -h": [command, "-h"] for command in COMMANDS},
+    "-h": ["-h"],
+    "--help": ["--help"],
+    "no arguments": [],
+    "unknown command": ["frobnicate", "-n", "12"],
+    "missing option": ["verify", "-n", "14", "--kind", "locating"],
+    "bad int": ["search", "-n", "twelve", "--kind", "locating"],
+    "csv and json": ["table", "--kind", "locating", "--from", "13", "--to", "15",
+                     "--csv", "--json"],
+    "unrecognized": ["search", "-n", "13", "--kind", "locating", "--threads=2"],
+    "two unrecognized": ["construct", "stray", "-n", "14", "--kind", "locating", "--x"],
+}
+
+
+def _parsed(capsys, parse, argv):
+    try:
+        namespace, code = parse(list(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, namespace
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_parse_matches_full_parser(capsys, argv):
+    # one pass with the command's own parser reads every argv as the
+    # top-level parser does: namespace, exit code, stdout and stderr
+    expected = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert _parsed(capsys, cli._parse, argv) == expected
+    assert expected[0] in (None, 0, 2)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_each_call_parses_once(capsys, monkeypatch, argv):
+    # a command's arguments go through its own parser alone; only a missing
+    # or unknown command, or --help, reaches the top-level parser
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert parsers == [f"circodes {argv[0]}" if argv and argv[0] in COMMANDS else "circodes"]
+
+
+def test_entry_point_reads_sys_argv():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def circodes(*argv):
+        return subprocess.run([sys.executable, "-m", "circodes.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+
+    done = circodes("verify", "-n", "14", "--code", "0,1,6,7,12,13", "--kind", "locating")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[0] == "Code(C(14; 1,3), {0,1,6,7,12,13}): valid"
+    done = circodes("verify", "-n", "7", "--code", "0", "--kind", "dominating")
+    assert done.returncode == 1
+    assert done.stdout.startswith("Code(C(7; 1,3), {0}): not-dominating")
+    done = circodes()
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: circodes ")
+    assert "the following arguments are required: command" in done.stderr
+    done = circodes("--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: circodes ") and done.stderr == ""
+
+
+# -- text reports and JSON documents ------------------------------------------------
+
+TEXT_REPORTS = [
+    (("verify", "-n", "11", "--code", "0,1,4,5", "--kind", "identifying", "--shadows",
+      "--shares", "--heavy", "11/4"),
+     "Code(C(11; 1,3), {0,1,4,5}): valid\n"
+     + "".join(f"  shadow[{u}] = {s}\n" for u, s in enumerate(
+         ["[0, 1]", "[0, 1, 4]", "[1, 5]", "[0, 4]", "[1, 4, 5]", "[4, 5]", "[5]", "[4]",
+          "[0, 5]", "[1]", "[0]"]))
+     + "  share[0] = 17/6\n  share[1] = 8/3\n  share[4] = 8/3\n  share[5] = 17/6\n"
+       "  sum of shares = 11\n"
+       "  heavy (share > 11/4): 0 profile (1, 2, 2, 2, 3), 5 profile (1, 2, 2, 2, 3)\n"),
+    (("verify", "-n", "14", "--code", "0,1,6,7,12,13", "--kind", "locating", "--heavy", "3"),
+     "Code(C(14; 1,3), {0,1,6,7,12,13}): valid\n  heavy (share > 3): none\n"),
+    (("construct", "-n", "22", "--kind", "identifying"),
+     "C(22;1,3) identifying code: [0, 1, 4, 5, 11, 12, 15, 16]\n"
+     "size 8, verification: valid\n"),
+    (("density", "--period", "11", "--residues", "0,1,4,5", "--kind", "identifying"),
+     "PeriodicCode(period=11, residues=[0, 1, 4, 5]): density 4/11, valid, "
+     "meets the 4/11 floor\n"),
+    (("search", "-n", "14", "--kind", "locating"),
+     "minimum locating code of C(14;1,3): size 6\n"
+     "certificate: [0, 1, 6, 7, 12, 13]\n"
+     "optimal by the stored transfer-matrix proof; certificate checked by Code.verify\n"),
+    (("table", "--kind", "locating", "--from", "11", "--to", "13"),
+     "   n  bound  constr  optimum match\n"
+     "  11      4       -        4 \n"
+     "  12      4       -        5 \n"
+     "  13      5       5        5 =\n"),
+]
+
+
+@pytest.mark.parametrize("argv, text", TEXT_REPORTS, ids=[a[0] for a, _ in TEXT_REPORTS])
+def test_text_reports_byte_stable(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "-n", "11", "--code", "0,1,4,5", "--kind", "identifying", "--shadows",
+     "--shares", "--heavy", "11/4"),
+    ("construct", "-n", "22", "--kind", "identifying"),
+], ids=["verify", "construct"])
+def test_json_renders_no_text(capsys, monkeypatch, argv):
+    # --json prints the document alone: no text report is rendered, so a
+    # raising Code.__repr__ changes nothing
+    def document():
+        code, doc = run_json(capsys, *argv)
+        del doc["timing"]
+        return code, doc
+
+    expected = document()
+
+    def no_repr(self):
+        raise AssertionError("Code.__repr__ called under --json")
+
+    monkeypatch.setattr(Code, "__repr__", no_repr)
+    assert document() == expected
+    assert expected[0] == 0
+    with pytest.raises(AssertionError, match="__repr__ called"):
+        run(capsys, "verify", "-n", "11", "--code", "0,1,4,5", "--kind", "identifying")

@@ -165,6 +165,29 @@ def test_budget_override_allows_larger_n():
     assert min_code_size(C(12), Kind.LOCATING, budget=12).outcome.size == 5
 
 
+@pytest.mark.parametrize("n", [12, 13, 40])
+@pytest.mark.parametrize("budget", [-1, -40])
+def test_negative_budget_rejected(n, budget):
+    # proved (13, 40) or searched (12): a negative budget is an error, never
+    # silently ignored by a proof answer
+    message = f"budget must be at least 0, got {budget}"
+    for kind in (Kind.LOCATING, Kind.IDENTIFYING):
+        with pytest.raises(ValueError, match=message):
+            min_code_size(C(n), kind, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            search._code_of_size(C(n), kind, 6, budget=budget)
+
+
+def test_zero_budget_searches_nothing():
+    # proof answers need no budget; a search at budget 0 would exceed it
+    assert min_code_size(C(13), Kind.LOCATING, budget=0).engine == "proof"
+    assert search._code_of_size(C(13), Kind.LOCATING, 6, budget=0).engine == "proof"
+    with pytest.raises(BudgetExceeded, match="order 12 exceeds search budget 0"):
+        min_code_size(C(12), Kind.LOCATING, budget=0)
+    with pytest.raises(BudgetExceeded, match="order 12 exceeds search budget 0"):
+        search._code_of_size(C(12), Kind.LOCATING, 6, budget=0)
+
+
 # -- graphs with twin vertices -------------------------------------------------
 
 TWINS = [(5, (1, 2), (0, 1)), (3, (1,), (0, 1)), (6, (2,), (0, 2))]
