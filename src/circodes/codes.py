@@ -25,21 +25,26 @@ periodic code.
 
 Shares are exact rationals (`fractions.Fraction`): the thresholds used by
 the heavy-vertex classifiers (3 and 11/4) must be compared exactly.  Every
-share is a multiple of 1/L, L = lcm(1..degree+1), so a code keeps two
-whole-code tables, each built once by one helper, ``_rotated_sum``: a
-string of per-vertex digits, summed over its rotations by the pattern.
+share is a multiple of 1/L, L = lcm(1..degree+1).  A code keeps three
+whole-code tables, each built once by one helper, ``_tabulate``: each
+vertex's membership byte or shadow size is mapped to a fixed-width digit,
+and the string of digits is summed over its rotations by the pattern.
 
 * Shadow sizes: the membership digits summed over P give |S & (x + P)|.
 * Share units: each size s mapped to L // s, summed over P, give
   L * share(u) for every u (entries of vertices with empty shadows count
   0, so every member's entry is exact in any code).
+* Profile keys: each size s mapped to b ** s, b = |P| + 1, summed over P,
+  give a key whose base-b digit s counts the x in N[u] with shadow size s.
+  The key is the profile of u as a multiset.
 
 Readers index the tables: ``share`` makes one ``Fraction``,
 ``sum_of_shares`` adds the members' entries, picked by
-``itertools.compress`` over the membership bytes, and ``heavy_vertices``
-compares each member's entry with floor(threshold * L) as integers.  Both
-rest on one domination check per code, which ``verify`` records whenever
-it runs.
+``itertools.compress`` over the membership bytes, ``heavy_vertices``
+compares each member's entry with floor(threshold * L) as integers, and
+``profile`` decodes one key through a small cache.  The share readers rest
+on one domination check per code, which ``verify`` records whenever it
+runs.
 
 A code is mask-first: the mask is its only state.  ``Code(graph,
 members)`` packs the iterable in one validating pass, in the order given,
@@ -196,24 +201,25 @@ class Code:
     @cached_property
     def _shadow_sizes(self) -> Sequence[int]:
         """|shadow(x)| for every vertex x, indexed by x."""
-        g = self.graph
-        n = g.n
-        width = _digit_width(len(g.pattern))
-        digits = bytearray(n * width)
-        low = 0 if _ORDER == "little" else width - 1  # a digit's low byte
-        digits[low::width] = self._membership
-        return _rotated_sum(digits, width, g.pattern, n)
+        return _tabulate(self._membership, (0, 1), self.graph)
+
+    @cached_property
+    def _profile_keys(self) -> Sequence[int]:
+        """The sum of b ** |shadow(x)| over x in N[u], for every vertex u.
+
+        With b = |P| + 1, base-b digit s of u's key counts the x in N[u]
+        with |shadow(x)| = s: the multiset that ``profile`` lists.
+        """
+        size = len(self.graph.pattern)
+        return _tabulate(self._shadow_sizes, [(size + 1) ** s for s in range(size + 1)],
+                         self.graph)
 
     def profile(self, u: int) -> tuple[int, ...]:
         """Shadow sizes over N[u], in ascending order."""
         g = self.graph
-        n = g.n
-        if type(u) is not int or not 0 <= u < n:
+        if type(u) is not int or not 0 <= u < g.n:
             g.check_vertex(u)  # raises, unless u is an int subclass
-        sizes = self._shadow_sizes
-        # |p| < n/2, so base + p lies in -n..n-1, where an index wraps mod n
-        base = u if 2 * u < n else u - n
-        return tuple(sorted([sizes[base + p] for p in g.pattern]))
+        return _profile_of(self._profile_keys[u], len(g.pattern))
 
     # -- shares ----------------------------------------------------------
 
@@ -231,21 +237,10 @@ class Code:
         u lies in the shadow of every x in N[u], so its entry never meets an
         empty shadow.
         """
-        g = self.graph
         scale = self._share_scale
-        sizes = self._shadow_sizes
-        width = _digit_width(len(g.pattern) * scale)
-        digit = [(scale // s if s else 0).to_bytes(width, _ORDER)
-                 for s in range(len(g.pattern) + 1)]
-        if isinstance(sizes, bytes):
-            # one byte per size: translate maps every vertex at once, a byte
-            # of the digit at a time
-            units = bytearray(g.n * width)
-            for j in range(width):
-                units[j::width] = sizes.translate(bytes(d[j] for d in digit).ljust(256, b"\0"))
-        else:
-            units = b"".join(map(digit.__getitem__, sizes))
-        return _rotated_sum(units, width, g.pattern, g.n)
+        return _tabulate(self._shadow_sizes,
+                         [scale // s if s else 0 for s in range(len(self.graph.pattern) + 1)],
+                         self.graph)
 
     def share(self, u: int) -> Fraction:
         """Sum of 1/|shadow(x)| over x in N[u], for a code vertex u.
@@ -275,7 +270,14 @@ class Code:
         if not self._dominating:
             raise ShareUndefined("shares are only defined for dominating codes")
         # units are integers: units > threshold * L iff units > floor(threshold * L)
-        limit = math.floor(threshold * self._share_scale)
+        try:
+            limit = math.floor(threshold * self._share_scale)
+        except OverflowError:  # an infinite threshold
+            if threshold > 0:
+                return []
+            limit = -1  # a member's units, L times a share of at least 1, exceed it
+        except ValueError:
+            raise ValueError(f"threshold {threshold!r} is not a number") from None
         units = self._share_units
         return sorted([u for u in self.members if units[u] > limit])
 
@@ -332,6 +334,42 @@ def _digit_width(top: int) -> int:
     return 1 << ((top.bit_length() + 7) // 8 - 1).bit_length()
 
 
+def _tabulate(keys: Sequence[int], values: Sequence[int], graph: CirculantGraph) -> Sequence[int]:
+    """Entry x of the result is the sum of values[keys[x + p]] (mod n) over p in P.
+
+    Each key maps to its value as a fixed-width digit, then ``_rotated_sum``
+    adds the rotations.  Keys held as bytes map by ``bytes.translate``, which
+    maps every vertex at once, one byte of the digit at a time.
+    """
+    pattern = graph.pattern
+    width = _digit_width(len(pattern) * max(values))
+    digit = [v.to_bytes(width, _ORDER) for v in values]
+    if isinstance(keys, bytes):
+        # byte j of every digit, in key order: the table that maps byte j
+        table = b"".join(digit)
+        digits = bytearray(graph.n * width)
+        for j in range(width):
+            digits[j::width] = keys.translate(table[j::width].ljust(256, b"\0"))
+    else:
+        digits = b"".join(map(digit.__getitem__, keys))
+    return _rotated_sum(digits, width, pattern, graph.n)
+
+
+@lru_cache(maxsize=256)
+def _profile_of(key: int, size: int) -> tuple[int, ...]:
+    """The ascending shadow sizes that a profile key counts, |P| = ``size``.
+
+    A profile on a 5-element pattern is a multiset of five sizes in 0..5,
+    one of C(10, 5) = 252, so the cache holds every profile of a ``{1,3}``
+    code.
+    """
+    out = []
+    for s in range(size + 1):
+        key, count = divmod(key, size + 1)
+        out += [s] * count
+    return tuple(out)
+
+
 def _rotated_sum(digits: bytes, width: int, pattern: tuple[int, ...], n: int) -> Sequence[int]:
     """Digit x of the result is the sum of digits x + p (mod n) over p in P.
 
@@ -350,7 +388,8 @@ def _rotated_sum(digits: bytes, width: int, pattern: tuple[int, ...], n: int) ->
         return out
     if width in _FORMATS:
         return memoryview(out).cast(_FORMATS[width])
-    # wider than any memoryview format: share units from degree 42 up
+    # wider than any memoryview format: share units from degree 42 up, and
+    # profile keys from 8 offsets up
     return [int.from_bytes(out[i:i + width], _ORDER) for i in range(0, size, width)]
 
 

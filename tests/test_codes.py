@@ -1,4 +1,6 @@
+import math
 import pickle
+import random
 import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
@@ -14,6 +16,7 @@ from circodes import (
     Status,
     VertexOutOfRange,
     heavy_profile_violations,
+    identifying_code_for,
     locating_code_for,
 )
 from circodes import codes
@@ -147,6 +150,28 @@ def test_profile_ascending():
         assert list(p) == sorted(p)
 
 
+def reference_profiles(g, members):
+    """Every vertex's profile from frozenset shadows."""
+    sizes = [len(g.closed_neighborhood(x) & members) for x in range(g.n)]
+    return [tuple(sorted(sizes[x] for x in g.closed_neighborhood(u))) for u in range(g.n)]
+
+
+@pytest.mark.parametrize("offsets", [(1, 3), (1, 4), (2, 5), (1, 2, 3)])
+def test_profile_keys_match_shadows_on_random_codes(offsets):
+    rng = random.Random(sum(offsets))
+    empty_entries = 0
+    for n in (13, 17, 24, 31, 40):
+        g = CirculantGraph(n, offsets)
+        # sparse draws leave vertices undominated, so 0 entries appear too
+        for density in (0.1, 0.3, 0.5, 0.9):
+            members = frozenset(u for u in range(n) if rng.random() < density)
+            code = Code(g, members)
+            profiles = [code.profile(u) for u in range(n)]
+            assert profiles == reference_profiles(g, members)
+            empty_entries += sum(p.count(0) for p in profiles)
+    assert empty_entries
+
+
 # -- shares -------------------------------------------------------------------
 
 def test_share_of_full_code_is_one():
@@ -196,6 +221,33 @@ def test_heavy_vertices_strict_inequality():
     code = Code(C(9), range(9))
     assert code.heavy_vertices(Fraction(99, 100)) == list(range(9))
     assert code.heavy_vertices(1) == []
+
+
+def test_heavy_vertices_at_infinite_thresholds():
+    code = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
+    assert code.heavy_vertices(math.inf) == []
+    assert code.heavy_vertices(-math.inf) == [0, 1, 4, 5, 11, 12, 15, 16]
+    with pytest.raises(ValueError, match="threshold nan"):
+        code.heavy_vertices(math.nan)
+    with pytest.raises(ShareUndefined):
+        Code(C(22), {0}).heavy_vertices(-math.inf)
+
+
+def test_heavy_profiles_read_three_tables(monkeypatch):
+    built = []
+    rotated_sum = codes._rotated_sum
+
+    def counted(*args):
+        built.append(args[1])
+        return rotated_sum(*args)
+    construction = identifying_code_for(10**5)
+    monkeypatch.setattr(codes, "_rotated_sum", counted)
+    code = Code.from_mask(construction.graph, construction.mask)
+    heavy = code.heavy_vertices(Fraction(11, 4))
+    profiles = {code.profile(u) for u in heavy}
+    assert len(heavy) > 10**4 and profiles == {(1, 2, 2, 2, 3)}
+    # shadow sizes, share units and profile keys, each built once
+    assert built == [1, 2, 2]
 
 
 def test_locating_heavy_profiles():
@@ -270,14 +322,16 @@ def test_defects_marks_every_colliding_pair():
 
 
 def test_shadow_sizes_wider_than_one_byte():
-    # 128 offsets give |N[x]| = 257, past what one byte per vertex can count
+    # 128 offsets give |N[x]| = 257, past what one byte per vertex can count,
+    # and profile keys in base 258, wider than any memoryview format
     g = CirculantGraph(300, range(1, 129))
     members = set(range(0, 300, 2))
-    code = Code(g, members)
-    assert code.sum_of_shares() == 300
-    for u in (0, 1, 150, 299):
-        assert code.profile(u) == tuple(sorted(len(g.closed_neighborhood(x) & members)
-                                               for x in g.closed_neighborhood(u)))
+    assert Code(g, members).sum_of_shares() == 300
+    rng = random.Random(128)
+    for members in (members, {u for u in range(300) if rng.random() < 0.4}):
+        code = Code(g, members)
+        assert [code.profile(u) for u in range(300)] == reference_profiles(g, members)
+        assert isinstance(code._profile_keys, list)
 
 
 def test_verify_memory_is_linear_in_n():
@@ -353,9 +407,11 @@ def test_profile_rejects_what_member_validation_rejects(odd):
 def test_code_pickles_after_shares():
     code = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
     shares = [code.share(u) for u in sorted(code.members)]
+    profiles = [code.profile(u) for u in range(22)]
     copy = pickle.loads(pickle.dumps(code))
     assert copy == code and copy.mask == code.mask
     assert [copy.share(u) for u in sorted(copy.members)] == shares
+    assert [copy.profile(u) for u in range(22)] == profiles
 
 
 # -- mask-first representation -----------------------------------------------
