@@ -79,6 +79,9 @@ class CirculantGraph:
 
     def __init__(self, n: int, offsets: Iterable[int] = (1, 3)):
         offsets = tuple(offsets)
+        # a float or bool equals an int key of the kernel caches: it would poison them
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise OffsetOutOfRange(f"n must be an integer, got {n!r}")
         if n < 3:
             raise OffsetOutOfRange(f"need n >= 3, got n={n}")
         if not offsets:
@@ -86,6 +89,8 @@ class CirculantGraph:
         if len(set(offsets)) != len(offsets):
             raise DuplicateOffset(f"duplicate offsets in {offsets}")
         for d in offsets:
+            if not isinstance(d, int) or isinstance(d, bool):
+                raise OffsetOutOfRange(f"offset {d!r} is not an integer")
             if d <= 0 or 2 * d >= n:
                 raise OffsetOutOfRange(
                     f"offset {d} out of range: need 1 <= d < n/2 = {n / 2}"

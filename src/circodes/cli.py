@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
@@ -54,15 +53,11 @@ DENSITY_FLOORS = {kind: proof.density for (offsets, kind), proof in PROOFS.items
                   if offsets == (1, 3)}
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_kind(text: str) -> Kind:
     try:
         return Kind(text)
     except ValueError:
-        raise UsageError(f"unknown kind {text!r}; expected one of "
+        raise ValueError(f"unknown kind {text!r}; expected one of "
                          f"{', '.join(k.value for k in Kind)}")
 
 
@@ -70,7 +65,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(p) for p in text.replace(",", " ").split()]
     except ValueError:
-        raise UsageError(f"malformed {what}: {text!r}")
+        raise ValueError(f"malformed {what}: {text!r}")
 
 
 def _parse_code_arg(text: str) -> list[int]:
@@ -80,7 +75,7 @@ def _parse_code_arg(text: str) -> list[int]:
             with open(text[1:]) as fh:
                 lines = [ln.strip() for ln in fh]
         except OSError as exc:
-            raise UsageError(f"cannot read code file: {exc}")
+            raise ValueError(f"cannot read code file: {exc}")
         return _parse_ints(" ".join(ln for ln in lines if ln), "code file")
     return _parse_ints(text, "code")
 
@@ -105,10 +100,6 @@ def _emit(as_json: bool, command: str, params: dict, outcome: dict, t0: float,
             print(line)
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
-
-
 def _share_texts(code: Code) -> dict[str, str]:
     """Each member's share as text, by ascending member.
 
@@ -116,7 +107,7 @@ def _share_texts(code: Code) -> dict[str, str]:
     few distinct values: each makes one Fraction and one string.
     """
     units, scale = code._share_units, code._share_scale
-    text = {t: _fraction_str(Fraction(t, scale)) for t in {units[u] for u in code.members}}
+    text = {t: str(Fraction(t, scale)) for t in {units[u] for u in code.members}}
     return {str(u): text[units[u]] for u in sorted(code.members)}
 
 
@@ -124,7 +115,7 @@ def _parse_threshold(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed threshold: {text!r}")
+        raise ValueError(f"malformed threshold: {text!r}")
 
 
 def cmd_verify(args) -> int:
@@ -140,8 +131,7 @@ def cmd_verify(args) -> int:
         "status": result.status.value,
         "valid": result.ok,
         "size": len(code),
-        "witness": list(result.witness) if isinstance(result.witness, tuple)
-                   else result.witness,
+        "witness": result.witness,
     }
     if args.shadows:
         outcome["shadows"] = {str(u): sorted(code.shadow(u)) for u in range(g.n)}
@@ -154,10 +144,9 @@ def cmd_verify(args) -> int:
     elif wanted:
         if args.shares:
             outcome["shares"] = _share_texts(code)
-            outcome["sum_of_shares"] = _fraction_str(code.sum_of_shares())
+            outcome["sum_of_shares"] = str(code.sum_of_shares())
         if thr is not None:
-            outcome["heavy"] = {str(u): list(code.profile(u))
-                                for u in code.heavy_vertices(thr)}
+            outcome["heavy"] = {str(u): code.profile(u) for u in code.heavy_vertices(thr)}
 
     def text():
         yield (f"{code!r}: {result.status.value}"
@@ -169,8 +158,8 @@ def cmd_verify(args) -> int:
                 yield f"  share[{u}] = {s}"
             yield f"  sum of shares = {outcome['sum_of_shares']}"
         if "heavy" in outcome:
-            yield (f"  heavy (share > {_fraction_str(thr)}): "
-                   + (", ".join(f"{u} profile {tuple(p)}" for u, p in outcome["heavy"].items())
+            yield (f"  heavy (share > {thr}): "
+                   + (", ".join(f"{u} profile {p}" for u, p in outcome["heavy"].items())
                       or "none"))
 
     params = {"n": args.n, "offsets": offsets, "kind": kind.value,
@@ -183,14 +172,14 @@ def cmd_construct(args) -> int:
     t0 = time.perf_counter()
     kind = _parse_kind(args.kind)
     if kind is Kind.DOMINATING:
-        raise UsageError("construct supports locating and identifying kinds")
+        raise ValueError("construct supports locating and identifying kinds")
     try:
         if kind is Kind.LOCATING:
             code, size = locating_code_for(args.n), locating_code_size(args.n)
         else:
             code, size = identifying_code_for(args.n), identifying_code_size(args.n)
     except UnsupportedOrder as exc:
-        raise UsageError(f"{exc}; use `circodes search` for small orders")
+        raise ValueError(f"{exc}; use `circodes search` for small orders")
     result = code.verify(kind)
     outcome = {
         "code": sorted(code.members),
@@ -236,20 +225,14 @@ def cmd_search(args) -> int:
         outcome = head | {"note": str(exc), "engine": "dfs", "proved": False}
         _emit(True, "search", params, outcome, t0, None)
         return EXIT_BUDGET
-    stats = {
-        "examined": result.stats.examined,
-        "pruned_symmetry": result.stats.pruned_symmetry,
-        "pruned_bound": result.stats.pruned_bound,
-        "leaf_checks": result.stats.leaf_checks,
-        "wall_time": round(result.stats.wall_time, 6),
-    }
+    stats = vars(result.stats) | {"wall_time": round(result.stats.wall_time, 6)}
     found = result.outcome
     code = None if found is None else sorted(found.certificate.members)
     if args.k is not None:
         outcome = {"exists": code is not None, "size": args.k, "code": code}
     else:
         outcome = {"optimum": None if found is None else found.size, "code": code,
-                   "lower_bound": lower_bound(args.n, kind, tuple(sorted(offsets))).effective}
+                   "lower_bound": lower_bound(args.n, kind, g.offsets).effective}
         if found is None:
             outcome["note"] = result.note
     outcome |= {"stats": stats, "engine": result.engine, "proved": True}
@@ -280,9 +263,9 @@ def cmd_table(args) -> int:
     t0 = time.perf_counter()
     kind = _parse_kind(args.kind)
     if kind is Kind.DOMINATING:
-        raise UsageError("table supports locating and identifying kinds")
+        raise ValueError("table supports locating and identifying kinds")
     if args.n_from > args.n_to or args.n_from < 7:
-        raise UsageError(f"bad range {args.n_from}..{args.n_to}; need 7 <= from <= to")
+        raise ValueError(f"bad range {args.n_from}..{args.n_to}; need 7 <= from <= to")
     size_fn = locating_code_size if kind is Kind.LOCATING else identifying_code_size
     rows = []
     for n in range(args.n_from, args.n_to + 1):
@@ -306,13 +289,11 @@ def cmd_table(args) -> int:
                      "match": match, "engine": engine})
     params = {"offsets": [1, 3], "kind": kind.value, "range": [args.n_from, args.n_to]}
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["n", "lower_bound", "construction",
-                                                 "optimum", "match"],
+        writer = csv.DictWriter(sys.stdout, fieldnames=["n", "lower_bound", "construction",
+                                                        "optimum", "match"],
                                 extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-        print(buf.getvalue(), end="")
         return EXIT_OK
 
     def text():
@@ -331,20 +312,16 @@ def cmd_density(args) -> int:
     t0 = time.perf_counter()
     kind = _parse_kind(args.kind)
     residues = _parse_ints(args.residues, "residues")
-    try:
-        p = PeriodicCode(args.period, residues)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    p = PeriodicCode(args.period, residues)
     rho = density(p)
     result = verify_periodic(p, kind)
     floor = DENSITY_FLOORS.get(kind)
     outcome = {
-        "density": _fraction_str(rho),
+        "density": str(rho),
         "valid": result.ok,
         "status": result.status.value,
-        "witness": list(result.witness) if isinstance(result.witness, tuple)
-                   else result.witness,
-        "floor": _fraction_str(floor) if floor else None,
+        "witness": result.witness,
+        "floor": str(floor) if floor else None,
         "meets_floor": (rho >= floor) if floor else None,
     }
     params = {"offsets": [1, 3], "kind": kind.value, "period": args.period,
@@ -361,10 +338,10 @@ def cmd_prove(args) -> int:
     kind = _parse_kind(args.kind)
     offsets = tuple(sorted(_parse_ints(args.offsets, "offsets")))
     if not offsets or offsets[0] < 1:
-        raise UsageError(f"prove needs one or more positive offsets, got {args.offsets!r}")
+        raise ValueError(f"prove needs one or more positive offsets, got {args.offsets!r}")
     from . import transfer  # the solver loads only here
     if offsets[-1] > transfer.MAX_DMAX:
-        raise UsageError(f"prove needs offsets with a largest offset of at most "
+        raise ValueError(f"prove needs offsets with a largest offset of at most "
                          f"{transfer.MAX_DMAX}, got {list(offsets)}")
     proof = transfer.solve(offsets, kind)
     stored = PROOFS.get((offsets, kind))
@@ -374,12 +351,12 @@ def cmd_prove(args) -> int:
         "onset": proof.onset,
         "period": proof.period,
         "increment": proof.increment,
-        "density": _fraction_str(proof.density),
+        "density": str(proof.density),
         "first": proof.first,
-        "minima": list(proof.minima),
+        "minima": proof.minima,
         "matches_stored": matches,
     }
-    params = {"offsets": list(offsets), "kind": kind.value}
+    params = {"offsets": offsets, "kind": kind.value}
     _emit(args.json, "prove", params, outcome, t0, lambda: (
         f"C(n;{','.join(map(str, offsets))}) {kind.value} codes, n >= {proof.first}: "
         f"{proof.live_states} live states",
@@ -494,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UsageError, CircodesError, ValueError, ZeroDivisionError) as exc:
+    except (CircodesError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,9 +42,10 @@ Readers index the tables: ``share`` makes one ``Fraction``,
 ``sum_of_shares`` adds the members' entries, picked by
 ``itertools.compress`` over the membership bytes, ``heavy_vertices``
 compares each member's entry with floor(threshold * L) as integers, and
-``profile`` decodes one key through a small cache.  The share readers rest
-on one domination check per code, which ``verify`` records whenever it
-runs.
+``profile`` decodes one key through a small cache.  ``sum_of_shares`` and
+``heavy_vertices`` read domination from the shadow-size table (a code
+dominates iff no size is 0), so they run no kernel pass and ``verify``
+stays a pure check.
 
 A code is mask-first: the mask is its only state.  ``Code(graph,
 members)`` packs the iterable in one validating pass, in the order given,
@@ -90,6 +91,11 @@ class Kind(str, Enum):
     DOMINATING = "dominating"
     LOCATING = "locating"
     IDENTIFYING = "identifying"
+
+
+def _as_kind(kind) -> Kind:
+    """The member ``kind`` names: a member as it is, a value such as "locating" by lookup."""
+    return kind if type(kind) is Kind else Kind(kind)
 
 
 class Status(str, Enum):
@@ -253,21 +259,16 @@ class Code:
             raise NotInCode(f"vertex {u} is not in the code")
         return Fraction(self._share_units[u], self._share_scale)
 
-    @cached_property
-    def _dominating(self) -> bool:
-        """Whether every shadow is nonempty; each ``verify`` call records it."""
-        return self.is_dominating().ok
-
     def sum_of_shares(self) -> Fraction:
-        """Total share of all code vertices; equals n for dominating codes."""
-        if not self._dominating:
+        """Total share of all code vertices, n; ``ShareUndefined`` if a shadow size is 0."""
+        if 0 in self._shadow_sizes:
             raise ShareUndefined("shares are only defined for dominating codes")
         units = self._share_units
         return Fraction(sum(compress(units, self._membership)), self._share_scale)
 
     def heavy_vertices(self, threshold: Fraction | int) -> list[int]:
-        """Code vertices whose share strictly exceeds the threshold, ascending."""
-        if not self._dominating:
+        """Members with share > threshold, ascending; ``ShareUndefined`` if a shadow size is 0."""
+        if 0 in self._shadow_sizes:
             raise ShareUndefined("shares are only defined for dominating codes")
         # units are integers: units > threshold * L iff units > floor(threshold * L)
         try:
@@ -285,11 +286,11 @@ class Code:
 
     def verify(self, kind: Kind) -> VerificationResult:
         """Check the code property, returning a witness on failure."""
+        kind = _as_kind(kind)
         n = self.graph.n
         pairs = []  # the smallest colliding pair for each d and side of the wrap
         for d, bits in defects(n, self.mask, self.graph.pattern, kind):
             if not d:
-                self.__dict__["_dominating"] = False
                 return VerificationResult(Status.NOT_DOMINATING, _lowest_bit(bits))
             # u < n - d gives the pair (u, u + d); a wrapping u = i + n - d
             # gives (i, i + n - d).  Both grow with u, so each side's lowest
@@ -303,8 +304,6 @@ class Code:
             if tail:
                 i = _lowest_bit(tail)
                 pairs.append((i, i + split))
-        # every pass that gets past the empty shadows settles domination
-        self.__dict__["_dominating"] = True
         if pairs:
             return VerificationResult(_FAIL_STATUS[kind], min(pairs))
         return VerificationResult(Status.VALID)
@@ -449,6 +448,7 @@ def heavy_profile_violations(code: Code, kind: Kind) -> list[tuple[int, tuple[in
     vertex with share > 11/4 must have profile (1,2,2,2,3).  Returns the
     offending (vertex, profile) pairs, empty when the classifier holds.
     """
+    kind = _as_kind(kind)
     if kind is Kind.LOCATING:
         threshold, allowed = LOCATING_HEAVY_THRESHOLD, LOCATING_HEAVY_PROFILES
     elif kind is Kind.IDENTIFYING:

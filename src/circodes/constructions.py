@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .circulant import CirculantGraph, mask_of
-from .codes import _FAIL_STATUS, Code, Kind, Status, VerificationResult, _lowest_bit, defects
+from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
+                    defects)
 from .errors import UnsupportedOrder
 
 __all__ = [
@@ -145,6 +146,7 @@ def verify_periodic(p: PeriodicCode, kind: Kind) -> VerificationResult:
     plain integers (vertices of the infinite graph) with the smallest
     first vertex, which lies below the period.
     """
+    kind = _as_kind(kind)
     lift = CirculantGraph(-(-(p.period + 12) // p.period) * p.period)
     mask = int(_numeral(p.period, p.residues) * (lift.n // p.period), 2)
     pairs = []

@@ -73,7 +73,7 @@ from itertools import combinations
 
 from . import constructions
 from .circulant import CirculantGraph
-from .codes import Code, Kind, defects
+from .codes import Code, Kind, _as_kind, defects
 from .errors import BudgetExceeded, OracleTooLarge
 from .proofs import proof_for
 
@@ -255,6 +255,7 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     """
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
+    kind = _as_kind(kind)
     degree = 2 * len(offsets)
     if kind is Kind.LOCATING:
         general = -(-2 * n // (degree + 3))
@@ -375,7 +376,7 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
     rotation; the returned certificate is deterministic for a given graph.
     ``circodes search --k`` reports the same answer with its statistics.
     """
-    outcome = _code_of_size(g, kind, k, progress=progress).outcome
+    outcome = _code_of_size(g, _as_kind(kind), k, progress=progress).outcome
     return None if outcome is None else outcome.certificate
 
 
@@ -485,6 +486,7 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     _check_budget(budget)
+    kind = _as_kind(kind)
     # a proved minimum means a code exists, so only a search asks _no_code
     answer = _from_proof(g, kind) or _no_code(g, kind)
     if answer is not None:
@@ -514,6 +516,7 @@ def naive_min_code_size(g: CirculantGraph, kind: Kind) -> SearchResult:
     """
     if g.n > NAIVE_LIMIT:
         raise OracleTooLarge(f"naive enumeration capped at n={NAIVE_LIMIT}, got {g.n}")
+    kind = _as_kind(kind)
     n = g.n
     t0 = time.perf_counter()
     examined = 0

@@ -33,7 +33,7 @@ larger offsets stay with the exhaustive search.
 from __future__ import annotations
 
 from .circulant import CirculantGraph
-from .codes import Kind, defects
+from .codes import Kind, _as_kind, defects
 from .proofs import Proof
 
 __all__ = ["MAX_DMAX", "allowed_windows", "live_graph", "solve"]
@@ -47,7 +47,7 @@ def allowed_windows(offsets: tuple[int, ...], kind: Kind) -> list[bool]:
     Bit j of a window is the code bit of vertex u - dmax + j.  A code on
     Z_n, n >= 4*dmax + 1, is valid iff the window around every vertex passes.
     """
-    offsets = tuple(sorted(offsets))
+    offsets, kind = tuple(sorted(offsets)), _as_kind(kind)
     dmax = offsets[-1]
     if dmax > MAX_DMAX:
         raise ValueError(f"the transfer-matrix solver needs dmax <= {MAX_DMAX}, "
@@ -148,7 +148,7 @@ def _diagonal_minimum(base: int, columns: list[tuple[int, ...]]) -> int | None:
 
 def solve(offsets: tuple[int, ...], kind: Kind) -> Proof:
     """Compute the transfer-matrix proof for C(n; offsets), every n >= 4*dmax + 1."""
-    offsets = tuple(sorted(offsets))
+    offsets, kind = tuple(sorted(offsets)), _as_kind(kind)
     states, preds = live_graph(offsets, kind)
     top = 4 * offsets[-1] - 1
     costs = [s >> top & 1 for s in states]

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import circodes
 from circodes import CirculantGraph, DuplicateOffset, OffsetOutOfRange, VertexOutOfRange
 from circodes.circulant import mask_of, set_of
 
@@ -60,6 +65,32 @@ def test_offset_validation():
         CirculantGraph(10, [])
     with pytest.raises(ValueError):
         CirculantGraph(2, [1])
+
+
+def test_non_integral_order_or_offset_is_rejected():
+    # a float or bool equals an int cache key of the kernel and the search,
+    # so one accepted graph would break every later check of that order; the
+    # sequence runs in its own process so that a poisoned cache stays there
+    script = """
+from circodes import CirculantGraph, Code, Kind, identifying_code_for, min_code_size
+for n, offsets in ((13.0, (1, 3)), (13.5, (1, 3)), (13, (1, 3.0)), (13, (True, 3))):
+    try:
+        Code.from_mask(CirculantGraph(n, offsets), 1).verify(Kind.LOCATING)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+print(identifying_code_for(13).verify(Kind.IDENTIFYING).status.value)
+print(min_code_size(CirculantGraph(13), Kind.DOMINATING).outcome.size)
+"""
+    src = os.path.dirname(os.path.dirname(circodes.__file__))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (done.stdout, done.stderr) == (
+        "OffsetOutOfRange: n must be an integer, got 13.0\n"
+        "OffsetOutOfRange: n must be an integer, got 13.5\n"
+        "OffsetOutOfRange: offset 3.0 is not an integer\n"
+        "OffsetOutOfRange: offset True is not an integer\n"
+        "valid\n"
+        "3\n", "")
 
 
 def test_offsets_sorted_and_deduped_order():

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -759,3 +760,76 @@ def test_json_renders_no_text(capsys, monkeypatch, argv):
     assert expected[0] == 0
     with pytest.raises(AssertionError, match="__repr__ called"):
         run(capsys, "verify", "-n", "11", "--code", "0,1,4,5", "--kind", "identifying")
+
+
+# The exact bytes of each document, its timing (and a search's wall_time) as "T"
+JSON_DOCUMENTS = [
+    (("verify", "-n", "22", "--code", "0,1,4,5,11,12,15,16", "--kind", "identifying",
+      "--shares", "--heavy", "11/4"), 0,
+     '{"command": "verify", "outcome": {"heavy": {"0": [1, 2, 2, 2, 3], '
+     '"11": [1, 2, 2, 2, 3], "16": [1, 2, 2, 2, 3], "5": [1, 2, 2, 2, 3]}, '
+     '"shares": {"0": "17/6", "1": "8/3", "11": "17/6", "12": "8/3", "15": "8/3", '
+     '"16": "17/6", "4": "8/3", "5": "17/6"}, "size": 8, "status": "valid", '
+     '"sum_of_shares": "22", "valid": true, "witness": null}, "parameters": '
+     '{"budget": null, "code": [0, 1, 4, 5, 11, 12, 15, 16], "k": null, '
+     '"kind": "identifying", "n": 22, "offsets": [1, 3], "seed": null, "threads": null}, '
+     '"schema": "v1", "timing": {"seconds": T}}\n'),
+    (("verify", "-n", "11", "--code", "0,4,5,6", "--kind", "identifying"), 1,
+     '{"command": "verify", "outcome": {"size": 4, "status": "not-identifying", '
+     '"valid": false, "witness": [0, 10]}, "parameters": {"budget": null, '
+     '"code": [0, 4, 5, 6], "k": null, "kind": "identifying", "n": 11, "offsets": [1, 3], '
+     '"seed": null, "threads": null}, "schema": "v1", "timing": {"seconds": T}}\n'),
+    (("density", "--period", "6", "--residues", "0,1", "--kind", "identifying"), 1,
+     '{"command": "density", "outcome": {"density": "1/3", "floor": "4/11", '
+     '"meets_floor": false, "status": "not-identifying", "valid": false, '
+     '"witness": [0, 1]}, "parameters": {"budget": null, "k": null, '
+     '"kind": "identifying", "n": null, "offsets": [1, 3], "period": 6, '
+     '"residues": [0, 1], "seed": null, "threads": null}, "schema": "v1", '
+     '"timing": {"seconds": T}}\n'),
+    (("search", "-n", "12", "--kind", "locating"), 0,
+     '{"command": "search", "outcome": {"code": [0, 1, 2, 3, 7], "engine": "dfs", '
+     '"lower_bound": 4, "optimum": 5, "proved": true, "stats": {"examined": 70, '
+     '"leaf_checks": 37, "pruned_bound": 35, "pruned_symmetry": 1, "wall_time": T}}, '
+     '"parameters": {"budget": null, "k": null, "kind": "locating", "n": 12, '
+     '"offsets": [1, 3], "seed": null, "threads": null}, "schema": "v1", '
+     '"timing": {"seconds": T}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, status, document", JSON_DOCUMENTS,
+                         ids=["verify-heavy", "verify-pair", "density-pair", "search-dfs"])
+def test_json_documents_byte_stable(capsys, argv, status, document):
+    code, out, err = run(capsys, *argv, "--json")
+    out = re.sub(r'"(seconds|wall_time)": [0-9.e-]+', r'"\1": T', out)
+    assert (code, out, err) == (status, document, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "-n", "9", "--code", "0", "--kind", "covering"),
+     "unknown kind 'covering'; expected one of dominating, locating, identifying"),
+    (("verify", "-n", "9", "--code", "0,banana", "--kind", "locating"),
+     "malformed code: '0,banana'"),
+    (("verify", "-n", "13", "--code", "@{missing}", "--kind", "identifying"),
+     "cannot read code file: [Errno 2] No such file or directory: '{missing}'"),
+    (("verify", "-n", "9", "--code", "0", "--kind", "locating", "--heavy", "1/0"),
+     "malformed threshold: '1/0'"),
+    (("construct", "-n", "22", "--kind", "dominating"),
+     "construct supports locating and identifying kinds"),
+    (("construct", "-n", "12", "--kind", "locating"),
+     "no general locating construction for n=12 < 13; use `circodes search` for small orders"),
+    (("table", "--kind", "locating", "--from", "9", "--to", "8"),
+     "bad range 9..8; need 7 <= from <= to"),
+    (("density", "--period", "6", "--residues", "0,6", "--kind", "locating"),
+     "residue 6 outside [0, 6)"),
+    (("prove", "--kind", "locating", "--offsets", "0"),
+     "prove needs one or more positive offsets, got '0'"),
+    (("prove", "--kind", "locating", "--offsets", "1,4"),
+     "prove needs offsets with a largest offset of at most 3, got [1, 4]"),
+], ids=["kind", "code", "code-file", "threshold", "construct-dominating",
+        "construct-order", "table-range", "density-residue", "prove-offsets", "prove-dmax"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_usage_errors_byte_stable(capsys, tmp_path, argv, message, fmt):
+    missing = str(tmp_path / "missing.txt")
+    argv = [a.replace("{missing}", missing) for a in argv]
+    code, out, err = run(capsys, *argv, *fmt)
+    assert (code, out, err) == (2, "", f"error: {message.replace('{missing}', missing)}\n")

@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from circodes import (
+    PERIODIC_IDENTIFYING_CODE,
+    PERIODIC_LOCATING_CODE,
     CirculantGraph,
     Code,
     Kind,
@@ -15,11 +17,16 @@ from circodes import (
     ShareUndefined,
     Status,
     VertexOutOfRange,
+    exists_code_of_size,
     heavy_profile_violations,
     identifying_code_for,
     locating_code_for,
+    lower_bound,
+    min_code_size,
+    naive_min_code_size,
+    verify_periodic,
 )
-from circodes import codes
+from circodes import codes, search, transfer
 from circodes.circulant import set_of
 from circodes.codes import defects
 
@@ -474,25 +481,32 @@ def test_list_rejection_names_the_first_bad_member_in_the_order_given():
     assert len(Code(g, iter([3, 3, 5]))) == 2
 
 
-def test_domination_is_checked_once_per_code(monkeypatch):
+def test_share_readers_run_no_kernel_pass(monkeypatch):
+    # domination is read from the shadow-size table: no defects pass on a
+    # fresh, a verified or a non-dominating code
     calls = []
 
     def counted(n, mask, pattern, kind, anchors=None):
         calls.append(kind)
         return defects(n, mask, pattern, kind, anchors)
     monkeypatch.setattr(codes, "defects", counted)
-    code = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
-    assert code.verify(Kind.IDENTIFYING)
-    code.sum_of_shares(), code.heavy_vertices(2), code.heavy_vertices(3)
+    members = {0, 1, 4, 5, 11, 12, 15, 16}
+    fresh = Code(C(22), members)
+    assert fresh.sum_of_shares() == 22 and fresh.heavy_vertices(Fraction(11, 4)) == [0, 5, 11, 16]
+    assert calls == []
+    verified = Code(C(22), members)
+    assert verified.verify(Kind.IDENTIFYING)
+    assert verified.sum_of_shares() == 22 and verified.heavy_vertices(3) == []
     assert calls == [Kind.IDENTIFYING]
-    fresh = Code(C(22), {0, 1, 4, 5, 11, 12, 15, 16})
-    fresh.sum_of_shares(), fresh.heavy_vertices(2)
-    assert calls == [Kind.IDENTIFYING, Kind.DOMINATING]
-    sparse = Code(C(22), {0})
-    assert not sparse.verify(Kind.LOCATING)
-    with pytest.raises(ShareUndefined):
-        sparse.sum_of_shares()
-    assert calls == [Kind.IDENTIFYING, Kind.DOMINATING, Kind.LOCATING]
+    for verify in (False, True):
+        sparse = Code(C(22), {0})
+        if verify:
+            assert not sparse.verify(Kind.LOCATING)
+        with pytest.raises(ShareUndefined):
+            sparse.sum_of_shares()
+        with pytest.raises(ShareUndefined):
+            sparse.heavy_vertices(2)
+    assert calls == [Kind.IDENTIFYING, Kind.LOCATING]
 
 
 def test_members_are_plain_ints():
@@ -501,3 +515,45 @@ def test_members_are_plain_ints():
         code = Code(g, members)
         assert code.members == {0, 2} and {type(v) for v in code.members} == {int}
         assert repr(code) == "Code(C(13; 1,3), {0,2})"
+
+
+# -- kinds given by value ------------------------------------------------------
+
+def _search_answer(result):
+    return result.outcome.size, result.outcome.certificate, result.stats.examined
+
+
+# Every public entry point that takes a kind, as a function of the kind alone
+KIND_ENTRY_POINTS = {
+    "verify": lambda kind: [code.verify(kind) for code in (
+        locating_code_for(30), identifying_code_for(30), Code(C(22), {0}),
+        Code(C(11), {0, 4, 5, 6}))],
+    "lower_bound": lambda kind: [lower_bound(30, kind), lower_bound(30, kind, (1, 2, 3))],
+    "min_code_size": lambda kind: _search_answer(min_code_size(CirculantGraph(20, (1, 4)), kind)),
+    "exists_code_of_size": lambda kind: [exists_code_of_size(CirculantGraph(20, (1, 4)), kind, k)
+                                         for k in (6, 7)],
+    "naive_min_code_size": lambda kind: _search_answer(naive_min_code_size(C(12), kind)),
+    "verify_periodic": lambda kind: [verify_periodic(p, kind) for p in (
+        PERIODIC_LOCATING_CODE, PERIODIC_IDENTIFYING_CODE)],
+    "heavy_profile_violations": lambda kind: heavy_profile_violations(locating_code_for(30), kind),
+    "solve": lambda kind: (proof := transfer.solve((1, 2), kind), type(proof.kind)),
+    "allowed_windows": lambda kind: transfer.allowed_windows((1, 2), kind),
+}
+
+
+def _outcome(entry, kind):
+    try:
+        return KIND_ENTRY_POINTS[entry](kind)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", KIND_ENTRY_POINTS)
+def test_kind_given_by_value(monkeypatch, entry):
+    # the value runs the member's check: "locating" is Kind.LOCATING everywhere,
+    # and a search by value fills the member's pruning rows, not another kind's
+    monkeypatch.setattr(search, "_VERDICTS", {})
+    by_value = {kind: _outcome(entry, kind.value) for kind in Kind}
+    assert by_value == {kind: _outcome(entry, kind) for kind in Kind}
+    with pytest.raises(ValueError, match="'covering' is not a valid Kind"):
+        KIND_ENTRY_POINTS[entry]("covering")
