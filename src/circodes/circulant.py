@@ -3,7 +3,8 @@
 A circulant graph C(n; d_1,...,d_k) has vertex set Z_n = {0,...,n-1},
 with x and y adjacent exactly when the circular difference
 min(|x-y|, n-|x-y|) is one of the offsets d_i.  Offsets must satisfy
-1 <= d < n/2, so the graph is simple, loop-free and 2k-regular.
+1 <= d < n/2, so the graph is simple, loop-free and 2k-regular.  The
+order, the offsets, vertices and radii are checked by ``errors.check_int``.
 
 A graph stores only n, its offsets and its closed pattern
 (0, +d_1, -d_1, ..., +d_k, -d_k): N[u] is u plus the pattern, mod n, so
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import compress, count
 
-from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange
+from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange, check_int
 
 __all__ = ["CirculantGraph", "mask_of", "set_of"]
 
@@ -35,11 +36,9 @@ def mask_of(vertices: Iterable[int]) -> int:
 
     One ASCII digit per vertex, read as a base-2 numeral.
     """
-    vertices = list(vertices)
+    vertices = [check_int(v, "vertex", 0) for v in vertices]
     if not vertices:
         return 0
-    if min(vertices) < 0:
-        raise ValueError(f"vertices must be nonnegative, got {min(vertices)}")
     digits = bytearray(b"0") * (max(vertices) + 1)
     for v in vertices:
         digits[v] = 49  # ord("1")
@@ -49,9 +48,7 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 def set_of(mask: int) -> frozenset[int]:
     """Unpack a nonnegative bitmask into a frozenset of vertices, in linear time."""
-    if mask < 0:
-        raise ValueError(f"negative mask {mask}")
-    return frozenset(compress(count(), _flags(mask)))
+    return frozenset(compress(count(), _flags(check_int(mask, "mask", 0))))
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
@@ -78,23 +75,13 @@ class CirculantGraph:
     __slots__ = ("n", "offsets", "pattern")
 
     def __init__(self, n: int, offsets: Iterable[int] = (1, 3)):
-        offsets = tuple(offsets)
-        # a float or bool equals an int key of the kernel caches: it would poison them
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise OffsetOutOfRange(f"n must be an integer, got {n!r}")
-        if n < 3:
-            raise OffsetOutOfRange(f"need n >= 3, got n={n}")
+        n = check_int(n, "n", 3, None, OffsetOutOfRange)
+        offsets = tuple([check_int(d, "offset", 1, (n - 1) // 2, OffsetOutOfRange)
+                         for d in offsets])
         if not offsets:
             raise OffsetOutOfRange("offset set must be nonempty")
         if len(set(offsets)) != len(offsets):
             raise DuplicateOffset(f"duplicate offsets in {offsets}")
-        for d in offsets:
-            if not isinstance(d, int) or isinstance(d, bool):
-                raise OffsetOutOfRange(f"offset {d!r} is not an integer")
-            if d <= 0 or 2 * d >= n:
-                raise OffsetOutOfRange(
-                    f"offset {d} out of range: need 1 <= d < n/2 = {n / 2}"
-                )
         self.n = n
         self.offsets = tuple(sorted(offsets))
         # N[u] = {u + p mod n : p in pattern}.  The 2k+1 residues are
@@ -122,14 +109,14 @@ class CirculantGraph:
         """Common degree 2k of every vertex."""
         return 2 * len(self.offsets)
 
-    def check_vertex(self, u: int) -> None:
-        """Reject anything that is not a canonical residue 0..n-1.
+    def check_vertex(self, u: int) -> int:
+        """``u`` as a plain int; anything but a canonical residue 0..n-1 is rejected.
 
         Negative inputs are rejected rather than normalized: silently
         aliasing -3 to n-3 would make bad test vectors undetectable.
         """
-        if not isinstance(u, int) or isinstance(u, bool) or not 0 <= u < self.n:
-            raise VertexOutOfRange(f"vertex {u!r} not in 0..{self.n - 1}")
+        return check_int(u, "vertex", 0, self.n - 1, VertexOutOfRange,
+                         "vertex {value!r} not in 0..{hi}")
 
     def is_adjacent(self, x: int, y: int) -> bool:
         self.check_vertex(x)
@@ -159,9 +146,8 @@ class CirculantGraph:
         ball(u, 0) == {u} and ball(u, 1) == closed_neighborhood(u);
         the ball stabilizes at all of Z_n once r reaches the diameter.
         """
-        self.check_vertex(u)
-        if r < 0:
-            raise ValueError(f"radius must be nonnegative, got {r}")
+        u = self.check_vertex(u)
+        r = check_int(r, "radius", 0)
         n = self.n
         seen = {u}
         frontier = [u]

@@ -67,9 +67,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
+from numbers import Number
 
 from .circulant import CirculantGraph, _flags, set_of
-from .errors import NotInCode, ShareUndefined, VertexOutOfRange
+from .errors import NotInCode, ShareUndefined, VertexOutOfRange, check_int
 
 __all__ = [
     "Kind",
@@ -163,8 +164,7 @@ class Code:
     @classmethod
     def from_mask(cls, graph: CirculantGraph, mask: int) -> Code:
         """The code whose members are the set bits of ``mask``, 0 <= mask < 2**n."""
-        if mask < 0:
-            raise ValueError(f"negative mask {mask}")
+        mask = check_int(mask, "mask", 0)
         if mask.bit_length() > graph.n:
             raise VertexOutOfRange(f"vertex {mask.bit_length() - 1} not in 0..{graph.n - 1}")
         code = object.__new__(cls)
@@ -254,7 +254,7 @@ class Code:
         Every x in N[u] has u in its shadow, so a member's share exists in
         any code, dominating or not; a non-member raises ``NotInCode``.
         """
-        self.graph.check_vertex(u)
+        u = self.graph.check_vertex(u)
         if not self._membership[u]:
             raise NotInCode(f"vertex {u} is not in the code")
         return Fraction(self._share_units[u], self._share_scale)
@@ -272,12 +272,14 @@ class Code:
             raise ShareUndefined("shares are only defined for dominating codes")
         # units are integers: units > threshold * L iff units > floor(threshold * L)
         try:
+            if not isinstance(threshold, Number):
+                raise TypeError  # "3" * L would repeat the string
             limit = math.floor(threshold * self._share_scale)
         except OverflowError:  # an infinite threshold
             if threshold > 0:
                 return []
             limit = -1  # a member's units, L times a share of at least 1, exceed it
-        except ValueError:
+        except (TypeError, ValueError):  # not a number, or NaN
             raise ValueError(f"threshold {threshold!r} is not a number") from None
         units = self._share_units
         return sorted([u for u in self.members if units[u] > limit])

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .circulant import CirculantGraph, mask_of
 from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
                     defects)
-from .errors import UnsupportedOrder
+from .errors import UnsupportedOrder, check_int
 
 __all__ = [
     "PeriodicCode",
@@ -98,12 +98,10 @@ class PeriodicCode:
     residues: frozenset[int]
 
     def __init__(self, period: int, residues):
-        if period < 1:
-            raise ValueError(f"period must be positive, got {period}")
-        res = frozenset(residues)
-        for r in res:
-            if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < period:
-                raise ValueError(f"residue {r!r} outside [0, {period})")
+        period = check_int(period, "period", 1)
+        outside = f"residue {{value!r}} outside [0, {period})"
+        res = frozenset(check_int(r, "residue", 0, period - 1, message=outside)
+                        for r in residues)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "residues", res)
 
@@ -166,10 +164,7 @@ def construct_A(t: int) -> Code:
     Needs t >= 2: C(6;1,3) does not exist because the offset 3 equals n/2.
     The code is a valid locating code for t >= 3.
     """
-    if t < 2:
-        raise UnsupportedOrder(
-            f"construct_A requires t >= 2; C({6 * t};1,3) is not a valid graph"
-        )
+    t = check_int(t, "t", 2, error=UnsupportedOrder)
     return _tiled_code(6 * t, _LOCATING_NUMERAL, ())
 
 
@@ -178,8 +173,7 @@ def construct_B(t: int) -> Code:
 
     Valid identifying code for every t >= 1.
     """
-    if t < 1:
-        raise UnsupportedOrder("construct_B requires t >= 1")
+    t = check_int(t, "t", 1, error=UnsupportedOrder)
     return _tiled_code(11 * t, _IDENTIFYING_NUMERAL, ())
 
 
@@ -192,8 +186,8 @@ def locating_code_size(n: int) -> int:
     for every such n.  In particular no code of size ceil(n/3) exists when
     n is 2, 3, or 5 mod 6.
     """
-    if n < 13:
-        raise UnsupportedOrder(f"no general locating construction for n={n} < 13")
+    n = check_int(n, "n", 13, error=UnsupportedOrder,
+                  message="no general locating construction for n={value!r} < {lo}")
     return -(-n // 3) + (1 if n % 6 in (2, 3, 5) else 0)
 
 
@@ -205,8 +199,8 @@ def identifying_code_size(n: int) -> int:
     This is the exact minimum for every n >= 13, by the stored
     transfer-matrix proof (``proofs``, recomputed by ``circodes prove``).
     """
-    if n < 11:
-        raise UnsupportedOrder(f"no general identifying construction for n={n} < 11")
+    n = check_int(n, "n", 11, error=UnsupportedOrder,
+                  message="no general identifying construction for n={value!r} < {lo}")
     r = n % 11
     extra = r == 8 or (r == 2 and n > 35) or (r == 5 and n > 27)
     return -(-4 * n // 11) + (1 if extra else 0)
@@ -235,7 +229,7 @@ def locating_code_for(n: int) -> Code:
     ceil(n/3) + 1, which the stored transfer-matrix proof shows is optimal
     for every n.
     """
-    size = locating_code_size(n)  # raises UnsupportedOrder below 13
+    size = locating_code_size(n)  # checks n: UnsupportedOrder below 13
     return _checked(_tiled_code(n, _LOCATING_NUMERAL, _LOCATING_ROWS[n % 6]), size)
 
 
@@ -247,7 +241,7 @@ def identifying_code_for(n: int) -> Code:
     everywhere else.  The stored transfer-matrix proof shows the size is
     optimal for every n >= 13.
     """
-    size = identifying_code_size(n)  # raises UnsupportedOrder below 11
+    size = identifying_code_size(n)  # checks n: UnsupportedOrder below 11
     if n in _IDENTIFYING_SPECIALS:
         code = Code(CirculantGraph(n), _IDENTIFYING_SPECIALS[n])
     else:

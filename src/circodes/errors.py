@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``check_int``, its one
+integer-argument rule: an ``int`` or an int subclass passes, as a plain
+``int``; a ``bool``, a float such as 13.0 (which equals an int key of the
+kernel caches, so it would poison them), a string or ``None`` never does.
+"""
 
 
 class CircodesError(Exception):
@@ -38,3 +42,22 @@ class BudgetExceeded(CircodesError, RuntimeError):
 
     The message names the order, the budget and the lower bound.
     """
+
+
+def check_int(value, name: str, lo: int, hi: int | None = None,
+              error: type[Exception] = ValueError, message: str = "") -> int:
+    """``value`` as a plain int if it is an integer in lo..hi (no top when hi is None).
+
+    Otherwise raises ``error`` naming the value, worded by ``message`` when
+    given: a format string with the fields value, lo and hi.
+    """
+    if type(value) is int and lo <= value and (hi is None or value <= hi):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return int(value)
+        wrong = f"must be at least {lo}" if hi is None else f"must be within {lo}..{hi}"
+    else:
+        wrong = "must be an integer"
+    raise error(message.format(value=value, lo=lo, hi=hi) if message
+                else f"{name} {wrong}, got {value!r}")

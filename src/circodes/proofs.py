@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .codes import Kind
+from .errors import check_int
 
 __all__ = ["Proof", "PROOFS", "proof_for"]
 
@@ -42,8 +43,7 @@ class Proof(NamedTuple):
 
     def minimum(self, n: int) -> int | None:
         """The minimum code size of C(n; offsets), n >= first (None: no code exists)."""
-        if n < self.first:
-            raise ValueError(f"the proof covers n >= {self.first}, got {n}")
+        n = check_int(n, "n", self.first)
         end = self.first + len(self.minima)
         steps = max(0, -(-(n - end + 1) // self.period))
         size = self.minima[n - steps * self.period - self.first]

@@ -74,7 +74,7 @@ from itertools import combinations
 from . import constructions
 from .circulant import CirculantGraph
 from .codes import Code, Kind, _as_kind, defects
-from .errors import BudgetExceeded, OracleTooLarge
+from .errors import BudgetExceeded, OracleTooLarge, check_int
 from .proofs import proof_for
 
 __all__ = [
@@ -253,8 +253,7 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     offsets {1,3} and n >= 13 that is the paper's n/3 locating and 4n/11
     identifying.
     """
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    n = check_int(n, "n", 3)
     kind = _as_kind(kind)
     degree = 2 * len(offsets)
     if kind is Kind.LOCATING:
@@ -380,11 +379,6 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
     return None if outcome is None else outcome.certificate
 
 
-def _check_budget(budget: int | None) -> None:
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be at least 0, got {budget}")
-
-
 def _code_of_size(g: CirculantGraph, kind: Kind, k: int, *, budget: int | None = None,
                   progress=None) -> SearchResult:
     """The answer of ``exists_code_of_size`` with its engine, stats and note.
@@ -393,9 +387,8 @@ def _code_of_size(g: CirculantGraph, kind: Kind, k: int, *, budget: int | None =
     with the note "exhaustive".  Orders beyond ``budget``, when given,
     raise BudgetExceeded there; a negative budget is rejected at once.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be within 1..{g.n}, got {k}")
-    _check_budget(budget)
+    k = check_int(k, "k", 1, g.n)
+    budget = None if budget is None else check_int(budget, "budget", 0)
     answer = _from_proof(g, kind, k)
     if answer is not None:
         return answer
@@ -483,9 +476,8 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
     pass it on questions a proof answers: below 1 it is rejected at once,
     and above 1 wherever a search would start, never silently ignored.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    _check_budget(budget)
+    threads = check_int(threads, "threads", 1)
+    budget = None if budget is None else check_int(budget, "budget", 0)
     kind = _as_kind(kind)
     # a proved minimum means a code exists, so only a search asks _no_code
     answer = _from_proof(g, kind) or _no_code(g, kind)

@@ -1,6 +1,19 @@
 import os
+import warnings
 
 import pytest
+
+# hypothesis imports its patching module only when a test fails, and that
+# import can raise a DeprecationWarning from a third-party module (for one,
+# mypy_extensions.TypedDict).  Under -W error the warning would end the run
+# with an INTERNALERROR in place of the falsifying example, so import it once
+# here with that warning ignored.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 def pytest_collection_modifyitems(config, items):

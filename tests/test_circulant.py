@@ -87,8 +87,8 @@ print(min_code_size(CirculantGraph(13), Kind.DOMINATING).outcome.size)
     assert (done.stdout, done.stderr) == (
         "OffsetOutOfRange: n must be an integer, got 13.0\n"
         "OffsetOutOfRange: n must be an integer, got 13.5\n"
-        "OffsetOutOfRange: offset 3.0 is not an integer\n"
-        "OffsetOutOfRange: offset True is not an integer\n"
+        "OffsetOutOfRange: offset must be an integer, got 3.0\n"
+        "OffsetOutOfRange: offset must be an integer, got True\n"
         "valid\n"
         "3\n", "")
 
