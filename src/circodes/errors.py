@@ -38,9 +38,9 @@ class OracleTooLarge(CircodesError, ValueError):
 
 
 class BudgetExceeded(CircodesError, RuntimeError):
-    """Exact search would exceed the order budget.
+    """Exact search would exceed the order budget, or the depth it can nest.
 
-    The message names the order, the budget and the lower bound.
+    The message names the order, the budget and the lower bound, or the size k.
     """
 
 

@@ -246,6 +246,7 @@ class SearchResult:
 def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundReport:
     """Largest known lower bound for codes in C(n; offsets).
 
+    The offsets and n pass the checks of ``CirculantGraph(n, offsets)``.
     The general bounds hold for any graph of maximum degree 2*len(offsets):
     2n/(degree+3) for locating, 2n/(degree+2) for identifying, n/(degree+1)
     for dominating.  Where a stored proof covers C(n; offsets), the specific
@@ -253,16 +254,15 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     offsets {1,3} and n >= 13 that is the paper's n/3 locating and 4n/11
     identifying.
     """
-    n = check_int(n, "n", 3)
-    kind = _as_kind(kind)
-    degree = 2 * len(offsets)
+    g, kind = CirculantGraph(n, offsets), _as_kind(kind)
+    n, degree = g.n, g.degree
     if kind is Kind.LOCATING:
         general = -(-2 * n // (degree + 3))
     elif kind is Kind.IDENTIFYING:
         general = -(-2 * n // (degree + 2))
     else:
         general = -(-n // (degree + 1))
-    proof = proof_for(offsets, kind, n)
+    proof = proof_for(g.offsets, kind, n)
     specific = None if proof is None else -(-n * proof.increment // proof.period)
     effective = max(general, specific or 0, 1)
     return BoundReport(general, specific, effective)
@@ -358,7 +358,10 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     if k == 1:
         close(0, 1, 1, 0)  # the root is the only leaf, at gap 0 from itself
     else:
-        dfs(0, 1, 1, 0)
+        try:
+            dfs(0, 1, 1, 0)
+        except RecursionError:  # dfs nests one call per member
+            raise BudgetExceeded(f"size k={k} exceeds the search's depth") from None
     stats = SearchStats(examined, pruned_sym, pruned_bound, time.perf_counter() - t0,
                         leaf_checks)
     return (Code.from_mask(g, found[0]) if found else None), stats
@@ -373,6 +376,7 @@ def exists_code_of_size(g: CirculantGraph, kind: Kind, k: int, *,
     k - minimum smallest non-members, once Code.verify passes (adding
     vertices keeps a code valid).  Otherwise it exhausts all k-subsets up to
     rotation; the returned certificate is deterministic for a given graph.
+    A k deeper than the search can nest raises BudgetExceeded naming k.
     ``circodes search --k`` reports the same answer with its statistics.
     """
     outcome = _code_of_size(g, _as_kind(kind), k, progress=progress).outcome

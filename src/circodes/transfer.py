@@ -8,9 +8,9 @@ graph on the (W - 1)-bit words: an edge appends one bit, is allowed when its
 W-bit window passes the checks anchored at the window's vertex dmax
 (``codes.defects`` with that single anchor), and costs the appended bit.
 The minimum code size is the smallest diagonal entry of the min-plus power
-D(n) = A^n.  Only live states count: those left after states without a
-predecessor or a successor are removed, repeatedly.  Every closed walk
-stays among them.
+D(n) = A^n.  Only live states count: those with a live predecessor and a
+live successor, found by filtering the states to a fixpoint.  Every closed
+walk stays among them.
 
 Min-plus powers of an irreducible matrix are eventually periodic (Cohen,
 Dubois, Quadrat and Viot, 1985): D(m + p) = D(m) + c from some onset on.
@@ -34,11 +34,26 @@ from __future__ import annotations
 
 from .circulant import CirculantGraph
 from .codes import Kind, _as_kind, defects
+from .errors import OffsetOutOfRange, check_int
 from .proofs import Proof
 
 __all__ = ["MAX_DMAX", "allowed_windows", "live_graph", "solve"]
 
 MAX_DMAX = 3
+
+
+def _window_graph(offsets: tuple[int, ...]) -> CirculantGraph:
+    """C(4*dmax + 1; offsets), the graph one window reads, for dmax <= MAX_DMAX.
+
+    Each offset is checked here; the graph rejects an empty or repeated set.
+    """
+    offsets = tuple(sorted(check_int(d, "offset", 1, None, OffsetOutOfRange)
+                           for d in offsets))
+    dmax = offsets[-1] if offsets else 1  # an empty set is the graph's to reject
+    if dmax > MAX_DMAX:
+        raise ValueError(f"the transfer-matrix solver needs dmax <= {MAX_DMAX}, "
+                         f"got offsets {offsets}")
+    return CirculantGraph(4 * dmax + 1, offsets)
 
 
 def allowed_windows(offsets: tuple[int, ...], kind: Kind) -> list[bool]:
@@ -47,16 +62,10 @@ def allowed_windows(offsets: tuple[int, ...], kind: Kind) -> list[bool]:
     Bit j of a window is the code bit of vertex u - dmax + j.  A code on
     Z_n, n >= 4*dmax + 1, is valid iff the window around every vertex passes.
     """
-    offsets, kind = tuple(sorted(offsets)), _as_kind(kind)
-    dmax = offsets[-1]
-    if dmax > MAX_DMAX:
-        raise ValueError(f"the transfer-matrix solver needs dmax <= {MAX_DMAX}, "
-                         f"got offsets {offsets}")
-    width = 4 * dmax + 1
-    pattern = CirculantGraph(width, offsets).pattern
-    anchor = 1 << dmax
-    return [next(defects(width, w, pattern, kind, anchor), None) is None
-            for w in range(1 << width)]
+    g, kind = _window_graph(offsets), _as_kind(kind)
+    anchor = 1 << g.offsets[-1]
+    return [next(defects(g.n, w, g.pattern, kind, anchor), None) is None
+            for w in range(1 << g.n)]
 
 
 def live_graph(offsets: tuple[int, ...], kind: Kind) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -65,7 +74,9 @@ def live_graph(offsets: tuple[int, ...], kind: Kind) -> tuple[list[int], list[tu
     Returns ``(states, preds)``: the live words in increasing order, and for
     each the indices of the live states with an allowed edge into it.  A
     state's appended bit, and so the cost of every edge into it, is its top
-    bit.
+    bit.  The live states are those that some closed walk passes: a filter
+    keeps each state with a live successor and a live predecessor, and
+    repeats until no state drops.
     """
     allowed = allowed_windows(offsets, kind)
     bits = len(allowed).bit_length() - 2
@@ -74,30 +85,13 @@ def live_graph(offsets: tuple[int, ...], kind: Kind) -> tuple[list[int], list[tu
     # edge s -> t = w >> 1 for the window w = s | b << bits
     succ = [[w >> 1 for w in (s, s | size) if allowed[w]] for s in range(size)]
     pred = [[w & low for w in (t << 1, t << 1 | 1) if allowed[w]] for t in range(size)]
-    # trim the states that no closed walk passes: no live successor or predecessor
-    live = [True] * size
-    outs = [len(x) for x in succ]
-    ins = [len(x) for x in pred]
-    stack = [s for s in range(size) if not outs[s] or not ins[s]]
-    for s in stack:
-        live[s] = False
-    while stack:
-        s = stack.pop()
-        for t in succ[s]:
-            if live[t]:
-                ins[t] -= 1
-                if not ins[t]:
-                    live[t] = False
-                    stack.append(t)
-        for r in pred[s]:
-            if live[r]:
-                outs[r] -= 1
-                if not outs[r]:
-                    live[r] = False
-                    stack.append(r)
-    states = [s for s in range(size) if live[s]]
+    live = set(range(size))
+    while dropped := {s for s in live
+                      if live.isdisjoint(succ[s]) or live.isdisjoint(pred[s])}:
+        live -= dropped
+    states = sorted(live)
     index = {s: i for i, s in enumerate(states)}
-    preds = [tuple(index[r] for r in pred[t] if live[r]) for t in states]
+    preds = [tuple(index[r] for r in pred[t] if r in live) for t in states]
     return states, preds
 
 
@@ -148,7 +142,7 @@ def _diagonal_minimum(base: int, columns: list[tuple[int, ...]]) -> int | None:
 
 def solve(offsets: tuple[int, ...], kind: Kind) -> Proof:
     """Compute the transfer-matrix proof for C(n; offsets), every n >= 4*dmax + 1."""
-    offsets, kind = tuple(sorted(offsets)), _as_kind(kind)
+    offsets, kind = _window_graph(offsets).offsets, _as_kind(kind)
     states, preds = live_graph(offsets, kind)
     top = 4 * offsets[-1] - 1
     costs = [s >> top & 1 for s in states]

@@ -32,11 +32,12 @@ from circodes import (
     lower_bound,
     min_code_size,
 )
+from circodes import transfer
 from circodes.circulant import mask_of, set_of
 from circodes.proofs import PROOFS
 
 C = CirculantGraph
-LOC = Kind.LOCATING
+LOC, IDE = Kind.LOCATING, Kind.IDENTIFYING
 PROOF = PROOFS[((1, 3), LOC)]
 CODE = locating_code_for(13)  # members 0, 1, 6, 7, 10
 
@@ -64,6 +65,8 @@ ENTRY_POINTS = {
     "locating-code": (locating_code_for, 13, None),
     "identifying-code": (identifying_code_for, 11, None),
     "lower-bound": (lambda v: lower_bound(v, LOC), 3, None),
+    "lower-bound-offset": (lambda v: lower_bound(13, LOC, (v,)), 1, 6),
+    "window-offset": (lambda v: transfer.allowed_windows((v,), LOC), 1, 3),
     "proof-minimum": (PROOF.minimum, 13, None),
     "exists-k": (lambda v: exists_code_of_size(C(12), LOC, v), 1, 12),
     "budget": (lambda v: min_code_size(C(12), LOC, budget=v), 0, None),
@@ -139,10 +142,22 @@ def test_int_enum_argument_answers_as_its_int(name, data):
 REPORTED = [("period", 6.0), ("period", True), ("from-mask", 1.0), ("from-mask", True),
             ("exists-k", True), ("exists-k", 4.0), ("budget", 2.5), ("budget", 12.5),
             ("locating-size", 13.5), ("lower-bound", 13.5), ("ball-radius", True),
-            ("construct-A", 3.0), ("proof-minimum", 20.0)]
+            ("construct-A", 3.0), ("proof-minimum", 20.0),
+            ("solve-offsets", 3.0), ("lower-bound-offsets", 5),
+            ("lower-bound-first-offset", 3.0)]
+
+# Reported calls with the value inside a set of offsets: solve((1, 3.0))
+# named the window width 13.0, and lower_bound answered both, the second
+# from the {1,3} proof.
+OFFSET_SETS = {
+    "solve-offsets": lambda v: transfer.solve((1, v), LOC),
+    "lower-bound-offsets": lambda v: lower_bound(7, LOC, (1, v)),
+    "lower-bound-first-offset": lambda v: lower_bound(20, IDE, (v, 1)),
+}
 
 
 @pytest.mark.parametrize("name, value", REPORTED,
                          ids=[f"{name}-{value!r}" for name, value in REPORTED])
 def test_reported_call_is_rejected_by_name(name, value):
-    assert_rejected(ENTRY_POINTS[name][0], value)
+    call = OFFSET_SETS[name] if name in OFFSET_SETS else ENTRY_POINTS[name][0]
+    assert_rejected(call, value)

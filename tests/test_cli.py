@@ -241,6 +241,16 @@ def test_search_fixed_k_explicit_budget_exit_three(capsys):
     assert "exceeds search budget 33" in doc["outcome"]["note"]
 
 
+def test_search_fixed_k_deeper_than_the_stack_exit_three(capsys):
+    argv = ("search", "-n", "1100", "--offsets", "1,4", "--kind", "locating", "--k", "1099")
+    note = "size k=1099 exceeds the search's depth"
+    assert run(capsys, *argv) == (3, "", f"budget exceeded: {note}\n")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["outcome"] == {"exists": None, "size": 1099, "code": None,
+                                          "note": note, "engine": "dfs", "proved": False}
+
+
 @pytest.mark.parametrize("k, fmt", [("0", ()), ("41", ("--json",))])
 def test_search_fixed_k_out_of_range_exit_two(capsys, k, fmt):
     # k is checked before the budget, with the library's message

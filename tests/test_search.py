@@ -188,6 +188,15 @@ def test_zero_budget_searches_nothing():
         search._code_of_size(C(12), Kind.LOCATING, 6, budget=0)
 
 
+def test_search_deeper_than_the_stack_exceeds_its_budget():
+    # the walk nests one call per member: C(1100;1,4) at k = 1099 runs out
+    # of depth long before it runs out of candidates
+    with pytest.raises(BudgetExceeded, match=r"^size k=1099 exceeds the search's depth$"):
+        exists_code_of_size(C(1100, (1, 4)), Kind.LOCATING, 1099)
+    # the search still answers afterwards, at every depth it reaches
+    assert len(exists_code_of_size(C(40, (1, 4)), Kind.LOCATING, 39)) == 39
+
+
 # -- graphs with twin vertices -------------------------------------------------
 
 TWINS = [(5, (1, 2), (0, 1)), (3, (1,), (0, 1)), (6, (2,), (0, 2))]

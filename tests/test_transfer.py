@@ -70,11 +70,25 @@ def test_anchored_defects_restrict_the_whole_check():
             assert 0 not in got
 
 
+# live states of every offset set with dmax <= 3: dominating, locating, identifying
+LIVE_STATES = {
+    (1,): (13, 13, 10),
+    (2,): (169, 169, 100),
+    (3,): (2197, 2197, 1000),
+    (1, 2): (236, 206, 104),
+    (1, 3): (3532, 2908, 2834),
+    (2, 3): (3489, 3386, 3240),
+    (1, 2, 3): (3984, 3010, 966),
+}
+
+
 def test_live_state_counts():
+    kinds = (Kind.DOMINATING, LOC, IDE)
     graphs = {(offsets, kind): transfer.live_graph(offsets, kind)
-              for offsets in ((1, 2), (1, 3)) for kind in (LOC, IDE)}
+              for offsets in LIVE_STATES for kind in kinds}
     assert {key: len(states) for key, (states, _) in graphs.items()} == {
-        ((1, 2), LOC): 206, ((1, 2), IDE): 104, ((1, 3), LOC): 2908, ((1, 3), IDE): 2834}
+        (offsets, kind): count for offsets, counts in LIVE_STATES.items()
+        for kind, count in zip(kinds, counts)}
     for _, preds in graphs.values():
         assert all(1 <= len(p) <= 2 for p in preds)
 
@@ -292,6 +306,15 @@ def test_padding_reaches_every_vertex():
 def test_solver_rejects_dmax_four():
     with pytest.raises(ValueError, match="dmax <= 3"):
         transfer.solve((1, 4), LOC)
+
+
+@pytest.mark.parametrize("offsets, named", [((), "nonempty"), ((1, 1), "duplicate"),
+                                            ((0, 3), "got 0$")])
+def test_solver_rejects_a_bad_offset_set(offsets, named):
+    # the window graph rejects an empty or repeated set, as any graph does
+    for call in (transfer.allowed_windows, transfer.solve):
+        with pytest.raises(ValueError, match=named):
+            call(offsets, LOC)
 
 
 def test_import_loads_neither_solver_nor_numpy():
