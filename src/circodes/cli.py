@@ -158,9 +158,11 @@ def cmd_verify(args) -> int:
                 yield f"  share[{u}] = {s}"
             yield f"  sum of shares = {outcome['sum_of_shares']}"
         if "heavy" in outcome:
+            # heavy members take few distinct profiles: each is formatted once
+            heavy = outcome["heavy"]
+            texts = {p: f"profile {p}" for p in set(heavy.values())}
             yield (f"  heavy (share > {thr}): "
-                   + (", ".join(f"{u} profile {p}" for u, p in outcome["heavy"].items())
-                      or "none"))
+                   + (", ".join([f"{u} {texts[p]}" for u, p in heavy.items()]) or "none"))
 
     params = {"n": args.n, "offsets": offsets, "kind": kind.value,
               "code": sorted(set(members))}

@@ -53,10 +53,14 @@ pass.
 A node one member short of k closes its leaf children itself, with no call
 per leaf.  It steps only over the set bits of its unpruned gaps, counts
 the row-pruned ones, the gap-cap prunes (gaps below n - pos - cap) and the
-symmetry prunes (gaps above n - pos - g0) by popcount, and gives each
-remaining leaf the walk's first read, the row of its own window at bit
-n - last, before the rest of the walk and the full pass.  The counts are
-those of visiting every node and leaf alone, in gap order.
+symmetry prunes (gaps above n - pos - g0) by popcount.  Each remaining
+leaf at gap g then gets the walk's first read, the row of its own window
+at bit n - last, and all of them get it at once: the node's entry holds,
+beside its own row, the rows of its children, folded in the first time a
+leaf needs them (see ``_Rows``), so one multiply spreads the live gaps
+onto the bits that hold the reads and one AND keeps the survivors.  Only
+those, lowest gap first, take the rest of the walk and the full pass.
+The counts are those of visiting every node and leaf alone, in gap order.
 
 The search runs in one process, as one depth-first walk from the root:
 member 0 with no gap placed.  The walk stops at the first code it reaches,
@@ -96,7 +100,8 @@ DEFAULT_SEARCH_BUDGETS = {Kind.LOCATING: 38, Kind.IDENTIFYING: 33, Kind.DOMINATI
 
 NAIVE_LIMIT = 16
 
-# (offsets, kind) -> {window: row with bit g set for each gap g that prunes}.
+# (offsets, kind) -> {window: row with bit g set for each gap g that prunes,
+# and above it the rows of some children (see _Rows)}.
 # A cache of a pure function, kept for the life of the process.
 _VERDICTS: dict[tuple[tuple[int, ...], Kind], _Rows] = {}
 
@@ -150,17 +155,59 @@ def _prune_row(window: int, pattern: tuple[int, ...], dmax: int, kind: Kind) -> 
 
 
 class _Rows(dict):
-    """The rows of one (offsets, kind) by window; a miss fills its row."""
+    """The entries of one (offsets, kind) by window; a miss fills its row.
 
-    __slots__ = ("pattern", "dmax", "kind")
+    With cap = 2*dmax + 1, an entry is laid out as
+
+    - bits 0..cap: the window's row, as ``_prune_row`` gives it;
+    - bit g*(cap + 2) + h, for g in 1..cap: bit h of the row of
+      ``child(window, g)``, the window after one more member at gap g;
+    - bit ``folded`` + g: child g's row is folded in.
+
+    A miss fills the row alone; ``fold`` adds the children a leaf's first
+    read needs, reading each child's row through this table, so it fills
+    only rows that the child's own read would fill.  Every reader masks to
+    ``row_bits`` or reads only gaps 1..cap, so folded rows never read as
+    prunes.
+    """
+
+    __slots__ = ("pattern", "dmax", "kind", "steady", "row_bits", "stride", "folded",
+                 "diag", "spread")
 
     def __init__(self, pattern: tuple[int, ...], dmax: int, kind: Kind):
         super().__init__()
         self.pattern, self.dmax, self.kind = pattern, dmax, kind
+        cap = 2 * dmax + 1
+        self.steady = 4 * dmax - 1  # the top bit of a window past the prefix
+        self.row_bits = (2 << cap) - 1
+        self.stride = cap + 2
+        self.folded = (cap + 1) * self.stride
+        # gaps * spread & diag moves each gap g to bit g*(cap + 1), where an
+        # entry shifted by s holds bit s - g of child g's row: the other
+        # products miss diag, and none meet unless gaps holds both 0 and cap
+        self.diag = sum(1 << g * (cap + 1) for g in range(cap + 1))
+        self.spread = sum(1 << g * cap for g in range(cap + 1))
 
     def __missing__(self, window: int) -> int:
         row = self[window] = _prune_row(window, self.pattern, self.dmax, self.kind)
         return row
+
+    def child(self, window: int, gap: int) -> int:
+        """The window after one more member, gap above the window's top bit."""
+        last = window.bit_length() - 1 + gap
+        window |= 1 << last
+        return window >> (last - self.steady) if last > self.steady else window
+
+    def fold(self, window: int, need: int) -> int:
+        """The entry of ``window`` with the children at the gaps in ``need`` folded in."""
+        entry = self[window] | need << self.folded
+        while need:
+            low = need & -need
+            gap = low.bit_length() - 1
+            entry |= (self[self.child(window, gap)] & self.row_bits) << gap * self.stride
+            need ^= low
+        self[window] = entry
+        return entry
 
 
 def _rows_pass(rows: _Rows, n: int, mask: int) -> bool:
@@ -174,6 +221,11 @@ def _rows_pass(rows: _Rows, n: int, mask: int) -> bool:
     there.  A prune is a
     defect of the code, as long as n >= 6*dmax + 1, 0 is a member and the
     last member is at least n - 2*dmax - 1.
+
+    The walk steps by the code's own gaps, and none of them exceeds the cap
+    2*dmax + 1: the DFS places none longer, the wrap gap is the last
+    member's distance to n, and a valid code has no longer one either.  So
+    a read ``>> gap & 1`` sees only row bits of an entry.
     """
     steady = 4 * rows.dmax - 1
     width = (2 << steady) - 1
@@ -282,6 +334,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     # only then does a leaf's first window lie inside one period, as the
     # window of a DFS node does
     walk = n >= 6 * dmax + 1
+    folded, diag, spread = rows.folded, rows.diag, rows.spread
     examined = 0
     pruned_sym = 0
     pruned_bound = 0
@@ -289,34 +342,41 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     found: list[int] = []
     t0 = time.perf_counter()
 
-    def close(pos, mask, free, g0):
+    def close(pos, mask, free, g0, entry):
         """Close the leaves at the gaps in ``free`` after the member at pos.
 
-        Returns the bit of the winning gap, or 0.  With g0 = 0 each leaf's
-        first gap is its own gap.
+        ``entry`` is the node's entry in ``rows``.  Returns the bit of the
+        winning gap, or 0.  With g0 = 0 each leaf's first gap is its own gap.
         """
         nonlocal examined, pruned_sym, pruned_bound, leaf_checks
         wrap = n - pos
         # the leaf at gap closes the cycle with the gap wrap - gap: too long
         # below wrap - cap, shorter than the first gap above top
         top = wrap - g0 if g0 else wrap // 2  # >= 1: g0 <= gap < wrap, and n >= 3
-        capped = free & ((1 << max(wrap - cap, 0)) - 1)
+        capped = free & ((1 << (wrap - cap)) - 1) if wrap > cap else 0
         sym = free & (-2 << top)
         pruned_bound += capped.bit_count()
         live = free ^ capped ^ sym
-        while live:
-            low = live & -live
-            last = pos + low.bit_length() - 1
-            leaf = mask | low << pos
-            # the walk's first read rejects nearly every leaf
-            if not walk or (not rows[leaf >> (last - steady)] >> (n - last) & 1
-                            and _rows_pass(rows, n, leaf)):
+        # the live gaps on the diagonal; gap 0 (the root's leaf) comes alone
+        left = live * spread & diag
+        if walk and live:
+            # the walk's first read, bit wrap - gap of each leaf's own row, for
+            # every leaf at once: it rejects nearly all
+            need = live & ~(entry >> folded)
+            if need:
+                entry = rows.fold(mask >> (pos - steady) if pos > steady else mask, need)
+            left ^= left & entry >> wrap
+        while left:
+            low = left & -left
+            gap = (low.bit_length() - 1) // (cap + 1)
+            leaf = mask | 1 << (pos + gap)
+            if not walk or _rows_pass(rows, n, leaf):
                 leaf_checks += 1
                 if next(defects(n, leaf, pattern, kind), None) is None:
                     found.append(leaf)
-                    examined += (free & ((low << 1) - 1)).bit_count()
-                    return low
-            live ^= low
+                    examined += (free & ((2 << gap) - 1)).bit_count()
+                    return 1 << gap
+            left ^= low
         examined += free.bit_count()
         pruned_sym += sym.bit_count()
         return 0
@@ -329,21 +389,24 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
         nonlocal examined, pruned_bound
         examined += 1
         lo = g0 or 1
-        hi = min(cap, n - 1 - pos - (k - count - 1))
+        hi = n - pos - k + count  # the k - count - 1 members after this one fit below n
+        if hi > cap:
+            hi = cap
         if hi < lo:
             return 0
         span = (2 << hi) - (1 << lo)
-        row = rows[mask >> (pos - steady) if pos > steady else mask] & span
+        entry = rows[mask >> (pos - steady) if pos > steady else mask]
+        row = entry & span
         free = span ^ row
         if count == k - 1 and g0:
-            won = close(pos, mask, free, g0)
+            won = close(pos, mask, free, g0, entry)
         else:
             # one child at a time: the root reports progress after each
             won = 0
             while free:
                 low = free & -free
                 gap = low.bit_length() - 1
-                if (close(pos, mask, low, 0) if count == k - 1
+                if (close(pos, mask, low, 0, entry) if count == k - 1
                         else dfs(pos + gap, count + 1, mask | low << pos, g0 or gap)):
                     won = low
                 if not g0 and progress is not None:
@@ -356,7 +419,9 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
         return won
 
     if k == 1:
-        close(0, 1, 1, 0)  # the root is the only leaf, at gap 0 from itself
+        # the root is the only leaf, at gap 0 from itself; where leaves walk,
+        # the gap cap prunes it before any read of the entry passed here
+        close(0, 1, 1, 0, 0)
     else:
         try:
             dfs(0, 1, 1, 0)

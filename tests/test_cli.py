@@ -738,6 +738,16 @@ TEXT_REPORTS = [
      "  11      4       -        4 \n"
      "  12      4       -        5 \n"
      "  13      5       5        5 =\n"),
+    # the identifying construction for n = 24: six heavy members, one profile
+    (("verify", "-n", "24", "--code", "0,1,2,6,9,10,15,16,19", "--kind", "identifying",
+      "--shares", "--heavy", "11/4"),
+     "Code(C(24; 1,3), {0,1,2,6,9,10,15,16,19}): valid\n"
+     "  share[0] = 8/3\n  share[1] = 17/6\n  share[2] = 13/6\n  share[6] = 13/6\n"
+     "  share[9] = 17/6\n  share[10] = 17/6\n  share[15] = 17/6\n  share[16] = 17/6\n"
+     "  share[19] = 17/6\n  sum of shares = 24\n"
+     "  heavy (share > 11/4): 1 profile (1, 2, 2, 2, 3), 9 profile (1, 2, 2, 2, 3), "
+     "10 profile (1, 2, 2, 2, 3), 15 profile (1, 2, 2, 2, 3), "
+     "16 profile (1, 2, 2, 2, 3), 19 profile (1, 2, 2, 2, 3)\n"),
 ]
 
 

@@ -336,6 +336,15 @@ def test_window_table_cold_and_warm_agree():
         assert cold == warm, offsets
 
 
+@pytest.mark.parametrize("kind, rows", [(Kind.IDENTIFYING, 9506), (Kind.LOCATING, 5117)])
+def test_cold_search_fills_only_the_rows_it_reads(monkeypatch, kind, rows):
+    # folding a child's row into its parent's entry reads the child's row,
+    # as the leaf's own first read did: the same rows get filled
+    monkeypatch.setattr(search, "_VERDICTS", {})
+    min_code_size(C(25, (1, 4)), kind)
+    assert {key: len(table) for key, table in search._VERDICTS.items()} == {((1, 4), kind): rows}
+
+
 # the PINNED questions whose leaves walk past n: n >= 6*dmax + 1
 WALKED = [(offsets, n, kind, k, cert) for offsets, n, kind, k, *_, cert in PINNED
           if n >= 6 * offsets[-1] + 1]
@@ -454,6 +463,31 @@ def test_search_matches_one_call_per_leaf(question):
     assert (mask, counts) == _reference_search(g, kind, k)
 
 
+def _matches_reference(offsets, n, kind, k):
+    g = C(n, offsets)
+    code, stats = search._search_at_size(g, kind, k)
+    mask = None if code is None else code.mask
+    counts = (stats.examined, stats.pruned_symmetry, stats.pruned_bound, stats.leaf_checks)
+    return (mask, counts) == _reference_search(g, kind, k)
+
+
+# walked questions where some leaves pass the walk's first read and reach
+# the rest of the walk
+@pytest.mark.parametrize("k", [9, 10])
+def test_first_read_survivors_match_one_call_per_leaf(k):
+    assert _matches_reference((1, 4), 30, Kind.LOCATING, k)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("n, kind, k", [
+    (31, Kind.IDENTIFYING, 11), (31, Kind.IDENTIFYING, 12),
+    (33, Kind.IDENTIFYING, 11), (33, Kind.IDENTIFYING, 12),
+    (33, Kind.LOCATING, 10), (33, Kind.LOCATING, 11),
+])
+def test_larger_walked_questions_match_one_call_per_leaf(n, kind, k):
+    assert _matches_reference((1, 4), n, kind, k)
+
+
 def _reference_prunes(window, gap, offsets, kind):
     """Whether placing a member gap after the window's top bit prunes.
 
@@ -495,6 +529,33 @@ def test_cached_rows_match_reference(question):
     expected = sum(1 << gap for gap in range(1, 2 * dmax + 2)
                    if _reference_prunes(window, gap, offsets, kind))
     assert row == expected
+
+
+@given(_windows(), st.integers(0), st.integers(0))
+@settings(max_examples=300, deadline=None)
+def test_folded_entry_layout(question, first, second):
+    # an entry keeps its own row in the low bits and each folded child's
+    # row in its own field; folds add up
+    offsets, window, kind = question
+    dmax = offsets[-1]
+    cap, steady = 2 * dmax + 1, 4 * dmax - 1
+    gaps = (2 << cap) - 2
+    pattern = C(4 * dmax + 1, offsets).pattern
+    rows = search._Rows(pattern, dmax, kind)
+    rows.fold(window, first & gaps)
+    entry = rows.fold(window, second & gaps)
+    assert entry == rows[window]
+    assert entry & ((2 << cap) - 1) == search._prune_row(window, pattern, dmax, kind)
+    assert entry >> rows.folded == (first | second) & gaps
+    top = window.bit_length() - 1
+    for gap in range(1, cap + 1):
+        field = entry >> gap * (cap + 2) & ((4 << cap) - 1)
+        if entry >> (rows.folded + gap) & 1:
+            last = top + gap
+            child = (window | 1 << last) >> max(last - steady, 0)
+            assert field == search._prune_row(child, pattern, dmax, kind), gap
+        else:
+            assert field == 0, gap
 
 
 def test_dmax_five_matches_naive_oracle():
