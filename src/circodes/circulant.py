@@ -116,7 +116,7 @@ class CirculantGraph:
         aliasing -3 to n-3 would make bad test vectors undetectable.
         """
         return check_int(u, "vertex", 0, self.n - 1, VertexOutOfRange,
-                         "vertex {value!r} not in 0..{hi}")
+                         "vertex {value!r} not in 0..{hi}", any_value=True)
 
     def is_adjacent(self, x: int, y: int) -> bool:
         self.check_vertex(x)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache
 
 from .circulant import CirculantGraph
-from .codes import Code, Kind
+from .codes import Code, Kind, _profile_of
 from .constructions import (
     PeriodicCode,
     density,
@@ -146,7 +146,11 @@ def cmd_verify(args) -> int:
             outcome["shares"] = _share_texts(code)
             outcome["sum_of_shares"] = str(code.sum_of_shares())
         if thr is not None:
-            outcome["heavy"] = {str(u): code.profile(u) for u in code.heavy_vertices(thr)}
+            # heavy members take few distinct profile keys: each is decoded once
+            heavy, keys = code.heavy_vertices(thr), code._profile_keys
+            profiles = {key: _profile_of(key, len(g.pattern))
+                        for key in set(map(keys.__getitem__, heavy))}
+            outcome["heavy"] = {str(u): profiles[keys[u]] for u in heavy}
 
     def text():
         yield (f"{code!r}: {result.status.value}"
@@ -227,7 +231,7 @@ def cmd_search(args) -> int:
         outcome = head | {"note": str(exc), "engine": "dfs", "proved": False}
         _emit(True, "search", params, outcome, t0, None)
         return EXIT_BUDGET
-    stats = vars(result.stats) | {"wall_time": round(result.stats.wall_time, 6)}
+    stats = result.stats._asdict() | {"wall_time": round(result.stats.wall_time, 6)}
     found = result.outcome
     code = None if found is None else sorted(found.certificate.members)
     if args.k is not None:

@@ -62,12 +62,12 @@ import math
 import struct
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
 from numbers import Number
+from typing import NamedTuple
 
 from .circulant import CirculantGraph, _flags, set_of
 from .errors import NotInCode, ShareUndefined, VertexOutOfRange, check_int
@@ -116,8 +116,7 @@ LOCATING_HEAVY_PROFILES = frozenset({(1, 1, 2, 2, 3), (1, 1, 2, 3, 4)})
 IDENTIFYING_HEAVY_PROFILES = frozenset({(1, 2, 2, 2, 3)})
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of a code-property check, with a concrete refutation.
 
     ``witness`` is None when valid, the smallest vertex with an empty
@@ -136,7 +135,14 @@ class VerificationResult:
         return self.ok
 
 
-@dataclass(frozen=True, init=False)
+def _refuse_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class Code:
     """A candidate code: a vertex subset of a circulant graph, held as its mask.
 
@@ -144,7 +150,8 @@ class Code:
     members)`` packs and validates an iterable of vertices, ``from_mask``
     takes the mask itself, and ``members`` is unpacked from the mask when
     first read.  Equality, hashing, ``len``, ``in`` and pickling read the
-    mask, never the member set.
+    mask, never the member set.  A code is immutable: assigning or deleting
+    an attribute raises ``AttributeError``.
     """
 
     graph: CirculantGraph
@@ -171,6 +178,17 @@ class Code:
         object.__setattr__(code, "graph", graph)
         object.__setattr__(code, "mask", mask)
         return code
+
+    __setattr__ = _refuse_setattr
+    __delattr__ = _refuse_delattr
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.graph == other.graph
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.mask))
 
     def __reduce__(self):
         # the cached tables are memoryviews, which do not pickle

@@ -21,12 +21,11 @@ enough that no constraint wraps around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .circulant import CirculantGraph, mask_of
 from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
-                    defects)
+                    _refuse_delattr, _refuse_setattr, defects)
 from .errors import UnsupportedOrder, check_int
 
 __all__ = [
@@ -90,9 +89,11 @@ _IDENTIFYING_SPECIALS: dict[int, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
 class PeriodicCode:
-    """A periodic vertex set {i*period + r : i in Z, r in residues}."""
+    """A periodic vertex set {i*period + r : i in Z, r in residues}.
+
+    Immutable; equal, and hashed alike, when period and residues are.
+    """
 
     period: int
     residues: frozenset[int]
@@ -104,6 +105,17 @@ class PeriodicCode:
                         for r in residues)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "residues", res)
+
+    __setattr__ = _refuse_setattr
+    __delattr__ = _refuse_delattr
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.period == other.period and self.residues == other.residues
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.residues))
 
     def __contains__(self, x: int) -> bool:
         return x % self.period in self.residues

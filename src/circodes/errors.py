@@ -45,11 +45,14 @@ class BudgetExceeded(CircodesError, RuntimeError):
 
 
 def check_int(value, name: str, lo: int, hi: int | None = None,
-              error: type[Exception] = ValueError, message: str = "") -> int:
+              error: type[Exception] = ValueError, message: str = "",
+              any_value: bool = False) -> int:
     """``value`` as a plain int if it is an integer in lo..hi (no top when hi is None).
 
-    Otherwise raises ``error`` naming the value, worded by ``message`` when
-    given: a format string with the fields value, lo and hi.
+    Otherwise raises ``error`` naming the value.  ``message``, a format
+    string with the fields value, lo and hi, words an integer out of range,
+    and with ``any_value`` a non-integer too; else a non-integer gets the
+    generic "must be an integer".
     """
     if type(value) is int and lo <= value and (hi is None or value <= hi):
         return value
@@ -59,5 +62,6 @@ def check_int(value, name: str, lo: int, hi: int | None = None,
         wrong = f"must be at least {lo}" if hi is None else f"must be within {lo}..{hi}"
     else:
         wrong = "must be an integer"
+        message = message if any_value else ""
     raise error(message.format(value=value, lo=lo, hi=hi) if message
                 else f"{name} {wrong}, got {value!r}")

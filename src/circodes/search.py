@@ -71,9 +71,9 @@ first-gap subtree, the one holding the code included.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import constructions
 from .circulant import CirculantGraph
@@ -240,8 +240,7 @@ def _rows_pass(rows: _Rows, n: int, mask: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Lower bounds on code size: degree-based, from a stored proof, and their max.
 
     ``specific_bound`` is None where no stored proof covers the graph.
@@ -252,8 +251,7 @@ class BoundReport:
     effective: int
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     examined: int = 0
     pruned_symmetry: int = 0
     pruned_bound: int = 0
@@ -270,14 +268,12 @@ class SearchStats:
         )
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     size: int
     certificate: Code
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """The answer to a minimum-size question, or to one at a fixed size.
 
     ``outcome`` is None when no code of the kind exists (twin vertices), or
@@ -330,7 +326,9 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
     dmax = offsets[-1]
     cap = 2 * dmax + 1
     steady = 4 * dmax - 1
-    rows = _VERDICTS.setdefault((offsets, kind), _Rows(pattern, dmax, kind))
+    rows = _VERDICTS.get((offsets, kind))
+    if rows is None:
+        rows = _VERDICTS[offsets, kind] = _Rows(pattern, dmax, kind)
     # only then does a leaf's first window lie inside one period, as the
     # window of a DFS node does
     walk = n >= 6 * dmax + 1

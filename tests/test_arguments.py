@@ -22,6 +22,7 @@ from circodes import (
     Kind,
     PeriodicCode,
     SearchResult,
+    UnsupportedOrder,
     construct_A,
     construct_B,
     exists_code_of_size,
@@ -161,3 +162,18 @@ OFFSET_SETS = {
 def test_reported_call_is_rejected_by_name(name, value):
     call = OFFSET_SETS[name] if name in OFFSET_SETS else ENTRY_POINTS[name][0]
     assert_rejected(call, value)
+
+
+# A range message compares the value with the range: said of a non-integer
+# ("n=13.5 < 13", "residue 1.5 outside [0, 6)") it was false.
+NON_INTEGERS_IN_RANGE = [("locating-size", 13.5, "n"), ("identifying-size", True, "n"),
+                         ("locating-code", "20", "n"), ("residue", 1.5, "residue")]
+
+
+@pytest.mark.parametrize("name, value, what", NON_INTEGERS_IN_RANGE,
+                         ids=[f"{name}-{value!r}" for name, value, _ in NON_INTEGERS_IN_RANGE])
+def test_non_integer_gets_the_generic_wording(name, value, what):
+    with pytest.raises((UnsupportedOrder, ValueError)) as info:
+        ENTRY_POINTS[name][0](value)
+    assert str(info.value) == f"{what} must be an integer, got {value!r}"
+    assert (type(info.value) is UnsupportedOrder) == (what == "n")
