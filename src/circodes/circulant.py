@@ -173,3 +173,7 @@ class CirculantGraph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.offsets))
+
+    def __reduce__(self):
+        # slots without __getstate__ do not pickle at protocols 0 and 1
+        return CirculantGraph, (self.n, self.offsets)

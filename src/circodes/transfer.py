@@ -28,9 +28,16 @@ starts s with D(m)[s][t] <= base + c, base being the smallest entry of
 D(m).  A min-plus step is then an OR of the predecessors' tuples, and every
 state has at most two predecessors.  dmax = 4 would need 2^16 states, so
 larger offsets stay with the exhaustive search.
+
+Each distinct column is interned once in a table that gives it an id (the
+unique table of Bryant, 1986), so D(m) is a tuple of ids, a step builds each
+distinct (cost, predecessor ids) column once, and the one pass that collects
+the minima finds the repeat exactly, by comparing id tuples.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from .circulant import CirculantGraph
 from .codes import Kind, _as_kind, defects
@@ -95,24 +102,49 @@ def live_graph(offsets: tuple[int, ...], kind: Kind) -> tuple[list[int], list[tu
     return states, preds
 
 
-def _powers(preds: list[tuple[int, ...]], costs: list[int]):
-    """Yield (m, base, columns) for D(m), m = 0, 1, 2, ...
-
-    ``columns[t]`` is the tuple of cumulative start-state bitsets described
-    in the module docstring, without trailing repeats, so that equal
-    matrices have equal columns.
-    """
-    columns = [(1 << t,) for t in range(len(preds))]  # D(0): the identity
+def solve(offsets: tuple[int, ...], kind: Kind) -> Proof:
+    """Compute the transfer-matrix proof for C(n; offsets), every n >= 4*dmax + 1."""
+    offsets, kind = _window_graph(offsets).offsets, _as_kind(kind)
+    states, preds = live_graph(offsets, kind)
+    top = 4 * offsets[-1] - 1
+    costs = [s >> top & 1 for s in states]
+    first = top + 2
+    # the column table: ids[column] is its id, columns[id] the column.  A
+    # column keeps no trailing repeats, so equal columns are equal tuples.
+    columns = [(1 << t,) for t in range(len(states))]
+    ids = {col: i for i, col in enumerate(columns)}
+    matrix = tuple(range(len(states)))  # D(0): the identity
     base = 0
-    m = 0
-    while True:
-        yield m, base, columns
-        m += 1
-        new = []
-        for ps, cost in zip(preds, costs):
-            col = columns[ps[0]]
-            if len(ps) == 2:
-                other = columns[ps[1]]
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}
+    minima = []
+    end = None
+    for m in count():
+        if end is None:
+            if matrix in seen:
+                onset, onset_base = seen[matrix]
+                period, increment = m - onset, base - onset_base
+                end = max(onset, first) + period
+            else:
+                seen[matrix] = m, base
+        if m == end:
+            break
+        best = None
+        for t, i in enumerate(matrix):
+            bit = 1 << t
+            for c, starts in enumerate(columns[i]):
+                if starts & bit:
+                    if best is None or c < best:
+                        best = c
+                    break
+        minima.append(None if best is None else base + best)
+        # D(m + 1) = D(m) A: each distinct (cost, predecessor ids) column once
+        keys = [(cost, *[matrix[p] for p in ps]) for ps, cost in zip(preds, costs)]
+        new = {}
+        for key in dict.fromkeys(keys):
+            cost, *pair = key
+            col = columns[pair[0]]
+            if len(pair) == 2:
+                other = columns[pair[1]]
                 if len(other) > len(col):
                     col, other = other, col
                 last = other[-1]
@@ -121,52 +153,15 @@ def _powers(preds: list[tuple[int, ...]], costs: list[int]):
                 while len(col) > 1 and col[-1] == col[-2]:
                     col = col[:-1]
             # an empty column stays (0,): no level to shift
-            new.append((0,) + col if cost and col[-1] else col)
-        if not any(col[0] for col in new):
+            new[key] = (0,) + col if cost and col[-1] else col
+        if not any(col[0] for col in new.values()):
             base += 1
-            new = [col[1:] or (0,) for col in new]
-        columns = new
-
-
-def _diagonal_minimum(base: int, columns: list[tuple[int, ...]]) -> int | None:
-    best = None
-    for s, col in enumerate(columns):
-        bit = 1 << s
-        for c, starts in enumerate(col):
-            if starts & bit:
-                if best is None or c < best:
-                    best = c
-                break
-    return None if best is None else base + best
-
-
-def solve(offsets: tuple[int, ...], kind: Kind) -> Proof:
-    """Compute the transfer-matrix proof for C(n; offsets), every n >= 4*dmax + 1."""
-    offsets, kind = _window_graph(offsets).offsets, _as_kind(kind)
-    states, preds = live_graph(offsets, kind)
-    top = 4 * offsets[-1] - 1
-    costs = [s >> top & 1 for s in states]
-    first = top + 2
-    seen: dict[int, tuple[int, int]] = {}
-    minima = []
-    repeat = end = None
-    for m, base, columns in _powers(preds, costs):
-        if repeat is None:
-            key = hash(tuple(columns))
-            if key in seen:
-                onset, onset_base = seen[key]
-                repeat, period, increment = columns, m - onset, base - onset_base
-                end = max(onset, first) + period
-            else:
-                seen[key] = m, base
-        if end is not None and m == end:
-            break
-        minima.append(_diagonal_minimum(base, columns))
-    # the hash only proposes the repeat: recompute D(onset) and compare exactly
-    for m, _, columns in _powers(preds, costs):
-        if m == onset:
-            break
-    if columns != repeat:
-        raise RuntimeError(f"hash collision at D({onset}) and D({onset + period})")
+            new = {key: col[1:] or (0,) for key, col in new.items()}
+        for key, col in new.items():
+            if col not in ids:
+                ids[col] = len(columns)
+                columns.append(col)
+            new[key] = ids[col]
+        matrix = tuple([new[key] for key in keys])
     return Proof(offsets, kind, len(states), onset, period, increment, first,
-                 tuple(minima[first:end]))
+                 tuple(minima[first:]))

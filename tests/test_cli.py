@@ -531,20 +531,26 @@ def test_prove_differing_stored_proof_exit_one(capsys, monkeypatch):
     assert "DIFFERS" in out
 
 
-@pytest.mark.parametrize("offsets", ["0,2", "-1,3", ",", ""])
+# the solver words every rejection of an offset set
+BAD_OFFSETS = {
+    "0,2": "offset must be at least 1, got 0",
+    "-1,3": "offset must be at least 1, got -1",
+    ",": "offset set must be nonempty",
+    "": "offset set must be nonempty",
+}
+
+
+@pytest.mark.parametrize("offsets", BAD_OFFSETS)
 def test_prove_rejects_empty_or_nonpositive_offsets(capsys, offsets):
     code, out, err = run(capsys, "prove", "--kind", "locating", f"--offsets={offsets}")
-    assert code == 2
-    assert out == ""
-    assert f"prove needs one or more positive offsets, got {offsets!r}" in err
+    assert (code, out, err) == (2, "", f"error: {BAD_OFFSETS[offsets]}\n")
 
 
 @pytest.mark.parametrize("offsets", ["1,4", "2,5"])
 def test_prove_rejects_dmax_above_three(capsys, offsets):
     code, out, err = run(capsys, "prove", "--kind", "locating", "--offsets", offsets)
-    assert code == 2
-    assert out == ""
-    assert "largest offset of at most 3" in err
+    assert (code, out, err) == (2, "", "error: the transfer-matrix solver needs dmax <= 3, "
+                                f"got offsets ({offsets.replace(',', ', ')})\n")
 
 
 # -- JSON parameters ------------------------------------------------------------
@@ -842,9 +848,9 @@ def test_json_documents_byte_stable(capsys, argv, status, document):
     (("density", "--period", "6", "--residues", "0,6", "--kind", "locating"),
      "residue 6 outside [0, 6)"),
     (("prove", "--kind", "locating", "--offsets", "0"),
-     "prove needs one or more positive offsets, got '0'"),
+     "offset must be at least 1, got 0"),
     (("prove", "--kind", "locating", "--offsets", "1,4"),
-     "prove needs offsets with a largest offset of at most 3, got [1, 4]"),
+     "the transfer-matrix solver needs dmax <= 3, got offsets (1, 4)"),
 ], ids=["kind", "code", "code-file", "threshold", "construct-dominating",
         "construct-order", "table-range", "density-residue", "prove-offsets", "prove-dmax"])
 @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])

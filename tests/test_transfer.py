@@ -93,6 +93,64 @@ def test_live_state_counts():
         assert all(1 <= len(p) <= 2 for p in preds)
 
 
+# onset, period and increment of every offset set with dmax <= 3: dominating,
+# locating, identifying; with LIVE_STATES, what transfer.solve finds
+REPEATS = {
+    (1,): ((5, 3, 1), (6, 5, 2), (13, 2, 1)),
+    (2,): ((10, 6, 2), (12, 10, 4), (26, 4, 2)),
+    (3,): ((15, 9, 3), (18, 15, 6), (39, 6, 3)),
+    (1, 2): ((9, 5, 1), (19, 6, 2), (23, 10, 5)),
+    (1, 3): ((25, 5, 1), (66, 6, 2), (107, 11, 4)),
+    (2, 3): ((28, 8, 2), (36, 13, 4), (54, 20, 7)),
+    (1, 2, 3): ((13, 7, 1), (55, 6, 2), (33, 14, 7)),
+}
+
+
+def _check_repeats(offset_sets):
+    kinds = (Kind.DOMINATING, LOC, IDE)
+    got = {}
+    for offsets in offset_sets:
+        for kind in kinds:
+            p = transfer.solve(offsets, kind)
+            got[offsets, kind] = (p.live_states, p.onset, p.period, p.increment)
+    assert got == {(offsets, kind): (LIVE_STATES[offsets][i], *REPEATS[offsets][i])
+                   for offsets in offset_sets for i, kind in enumerate(kinds)}
+
+
+def test_repeats_up_to_dmax_two():
+    _check_repeats([offsets for offsets in REPEATS if offsets[-1] <= 2])
+
+
+@pytest.mark.extended
+def test_repeats_up_to_dmax_three():
+    _check_repeats(REPEATS)
+
+
+class _CountedList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_solver_steps_once_to_the_repeat(monkeypatch):
+    # each min-plus step reads the predecessor lists once; the minima below
+    # max(onset, first) + period and the repeat itself need no more steps
+    live_graph = transfer.live_graph
+    counted = _CountedList()
+
+    def counting(offsets, kind):
+        states, preds = live_graph(offsets, kind)
+        counted.extend(preds)
+        return states, counted
+    monkeypatch.setattr(transfer, "live_graph", counting)
+    proof = transfer.solve((1, 2), LOC)
+    assert counted.iterations <= max(proof.onset, proof.first) + proof.period == 25
+
+
 def test_stored_proofs():
     assert {key: (p.live_states, p.onset, p.period, p.increment, p.first)
             for key, p in PROOFS.items()} == {
