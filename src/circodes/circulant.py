@@ -65,6 +65,14 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
+def _refuse_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 class CirculantGraph:
     """The circulant graph C(n; d_1,...,d_k).
 
@@ -82,14 +90,14 @@ class CirculantGraph:
             raise OffsetOutOfRange("offset set must be nonempty")
         if len(set(offsets)) != len(offsets):
             raise DuplicateOffset(f"duplicate offsets in {offsets}")
-        self.n = n
-        self.offsets = tuple(sorted(offsets))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "offsets", tuple(sorted(offsets)))
         # N[u] = {u + p mod n : p in pattern}.  The 2k+1 residues are
         # distinct because every offset is below n/2.
-        pattern = [0]
-        for d in self.offsets:
-            pattern += (d, -d)
-        self.pattern = tuple(pattern)
+        object.__setattr__(self, "pattern", (0, *[p for d in self.offsets for p in (d, -d)]))
+
+    __setattr__ = _refuse_setattr
+    __delattr__ = _refuse_delattr
 
     @property
     def _closed_masks(self) -> tuple[int, ...]:

@@ -69,7 +69,7 @@ from itertools import compress
 from numbers import Number
 from typing import NamedTuple
 
-from .circulant import CirculantGraph, _flags, set_of
+from .circulant import CirculantGraph, _flags, _refuse_delattr, _refuse_setattr, set_of
 from .errors import NotInCode, ShareUndefined, VertexOutOfRange, check_int
 
 __all__ = [
@@ -133,14 +133,6 @@ class VerificationResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _refuse_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Code:

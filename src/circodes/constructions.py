@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circulant import CirculantGraph, mask_of
+from .circulant import CirculantGraph, _refuse_delattr, _refuse_setattr, mask_of
 from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
-                    _refuse_delattr, _refuse_setattr, defects)
+                    defects)
 from .errors import UnsupportedOrder, check_int
 
 __all__ = [

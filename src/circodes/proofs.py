@@ -1,11 +1,12 @@
 """Stored transfer-matrix proofs of the exact minimum code size.
 
 A ``Proof`` is what ``transfer.solve`` computes for one offset set and one
-kind: the min-plus distance matrix D(m) of its window graph (see
-``transfer``) satisfies D(m + period) = D(m) + increment for every
-m >= onset, so for every n >= first the minimum code size of C(n; offsets)
-is read from the minima stored for first <= n < max(onset, first) + period,
-shifted by whole periods.  ``circodes prove`` recomputes an artifact and
+kind, stored as the theorem it proves: for every n >= first the minimum
+code size of C(n; offsets) is ceil(n * increment / period) plus an excess
+digit.  The digits of first <= n < max(onset, first) + period are stored;
+past them the digit repeats with the period, since D(m + period) = D(m) +
+increment for m >= onset (see ``transfer``) and ceil((n + p) * c / p) =
+ceil(n * c / p) + c.  ``circodes prove`` recomputes an artifact and
 compares it with the one stored here.
 
 The search answers the minimum of a proved (offsets, kind) from this table
@@ -34,42 +35,40 @@ class Proof(NamedTuple):
     period: int
     increment: int
     first: int          # smallest n the window graph models: 4*dmax + 1
-    minima: tuple       # minimum size for n = first, first + 1, ...; None: no code
+    excess: str         # minimum - ceil(n * density) for n = first, first + 1, ...; "-": no code
+
+    @classmethod
+    def from_minima(cls, offsets, kind, live_states, onset, period, increment, first, minima):
+        """The proof whose minimum sizes for n = first, first + 1, ... are ``minima``."""
+        excess = "".join("-" if size is None else str(size + n * increment // -period)
+                         for n, size in enumerate(minima, first))
+        return cls(offsets, kind, live_states, onset, period, increment, first, excess)
 
     @property
     def density(self) -> Fraction:
         """The least density of a code on the infinite graph: increment / period."""
         return Fraction(self.increment, self.period)
 
+    @property
+    def minima(self) -> tuple:
+        """The minimum size for n = first, first + 1, ... over the stored digits."""
+        return tuple(map(self.minimum, range(self.first, self.first + len(self.excess))))
+
     def minimum(self, n: int) -> int | None:
         """The minimum code size of C(n; offsets), n >= first (None: no code exists)."""
         n = check_int(n, "n", self.first)
-        end = self.first + len(self.minima)
-        steps = max(0, -(-(n - end + 1) // self.period))
-        size = self.minima[n - steps * self.period - self.first]
-        return None if size is None else size + steps * self.increment
+        i, end = n - self.first, len(self.excess)
+        digit = self.excess[i if i < end else end - self.period + (i - end) % self.period]
+        return None if digit == "-" else int(digit) - n * self.increment // -self.period
 
 
-PROOFS = {
-    ((1, 3), Kind.LOCATING): Proof(
-        offsets=(1, 3), kind=Kind.LOCATING, live_states=2908, onset=66,
-        period=6, increment=2, first=13, minima=(
-            5, 6, 6, 6, 7, 6, 7, 8, 8, 8, 9, 8, 9, 10, 10, 10, 11, 10, 11, 12, 12,
-            12, 13, 12, 13, 14, 14, 14, 15, 14, 15, 16, 16, 16, 17, 16, 17, 18, 18,
-            18, 19, 18, 19, 20, 20, 20, 21, 20, 21, 22, 22, 22, 23, 22, 23, 24, 24,
-            24, 25,
-        )),
-    ((1, 3), Kind.IDENTIFYING): Proof(
-        offsets=(1, 3), kind=Kind.IDENTIFYING, live_states=2834, onset=107,
-        period=11, increment=4, first=13, minima=(
-            5, 6, 6, 6, 7, 7, 8, 8, 8, 8, 9, 9, 10, 10, 10, 11, 11, 12, 12, 12, 12,
-            13, 13, 14, 14, 15, 15, 15, 16, 16, 16, 16, 17, 18, 18, 18, 19, 19, 19,
-            20, 20, 20, 20, 21, 22, 22, 22, 23, 23, 23, 24, 24, 24, 24, 25, 26, 26,
-            26, 27, 27, 27, 28, 28, 28, 28, 29, 30, 30, 30, 31, 31, 31, 32, 32, 32,
-            32, 33, 34, 34, 34, 35, 35, 35, 36, 36, 36, 36, 37, 38, 38, 38, 39, 39,
-            39, 40, 40, 40, 40, 41, 42, 42, 42, 43, 43, 43,
-        )),
-}
+PROOFS = {(proof.offsets, proof.kind): proof for proof in (
+    Proof((1, 3), Kind.LOCATING, live_states=2908, onset=66, period=6, increment=2, first=13,
+          excess="01101001101001101001101001101001101001101001101001101001101"),
+    Proof((1, 3), Kind.IDENTIFYING, live_states=2834, onset=107, period=11, increment=4,
+          first=13, excess="00000010000000000100000001001000010010010000100100100001"
+                           "0010010000100100100001001001000010010010000100100"),
+)}
 
 
 def proof_for(offsets: tuple[int, ...], kind: Kind, n: int) -> Proof | None:

@@ -18,7 +18,7 @@ Dubois, Quadrat and Viot, 1985): D(m + p) = D(m) + c from some onset on.
 repeat up to such a shift, and since D(m + 1) = D(m) A, one repeat at the
 onset gives it for every later m.  Every offset set with dmax <= 3 and every
 kind repeats within 120 steps.  The minima below onset + p then give the
-exact minimum for every n >= W, which is what ``proofs.Proof`` stores.
+exact minimum for every n >= W; ``proofs.Proof`` stores their excess digits.
 This is the transfer-matrix method of Junnila and Laihonen, *Optimal
 identifying codes in cycles and paths*, Graphs Combin. 2012.
 
@@ -163,5 +163,5 @@ def solve(offsets: tuple[int, ...], kind: Kind) -> Proof:
                 columns.append(col)
             new[key] = ids[col]
         matrix = tuple([new[key] for key in keys])
-    return Proof(offsets, kind, len(states), onset, period, increment, first,
-                 tuple(minima[first:]))
+    return Proof.from_minima(offsets, kind, len(states), onset, period, increment, first,
+                             minima[first:])

@@ -754,6 +754,11 @@ TEXT_REPORTS = [
      "  heavy (share > 11/4): 1 profile (1, 2, 2, 2, 3), 9 profile (1, 2, 2, 2, 3), "
      "10 profile (1, 2, 2, 2, 3), 15 profile (1, 2, 2, 2, 3), "
      "16 profile (1, 2, 2, 2, 3), 19 profile (1, 2, 2, 2, 3)\n"),
+    (("prove", "--kind", "locating", "--offsets", "1,2"),
+     "C(n;1,2) locating codes, n >= 9: 206 live states\n"
+     "D(m + 6) = D(m) + 2 for m >= 19; density 1/3\n"
+     "minimum for n = 9..24: 4 4 4 4 5 5 6 6 6 6 7 7 8 8 8 8\n"
+     "no stored proof\n"),
 ]
 
 
@@ -819,11 +824,18 @@ JSON_DOCUMENTS = [
      '"parameters": {"budget": null, "k": null, "kind": "locating", "n": 12, '
      '"offsets": [1, 3], "seed": null, "threads": null}, "schema": "v1", '
      '"timing": {"seconds": T}}\n'),
+    (("prove", "--kind", "locating", "--offsets", "1,2"), 0,
+     '{"command": "prove", "outcome": {"density": "1/3", "first": 9, "increment": 2, '
+     '"live_states": 206, "matches_stored": null, "minima": [4, 4, 4, 4, 5, 5, 6, 6, 6, '
+     '6, 7, 7, 8, 8, 8, 8], "onset": 19, "period": 6}, "parameters": {"budget": null, '
+     '"k": null, "kind": "locating", "n": null, "offsets": [1, 2], "seed": null, '
+     '"threads": null}, "schema": "v1", "timing": {"seconds": T}}\n'),
 ]
 
 
 @pytest.mark.parametrize("argv, status, document", JSON_DOCUMENTS,
-                         ids=["verify-heavy", "verify-pair", "density-pair", "search-dfs"])
+                         ids=["verify-heavy", "verify-pair", "density-pair", "search-dfs",
+                              "prove"])
 def test_json_documents_byte_stable(capsys, argv, status, document):
     code, out, err = run(capsys, *argv, "--json")
     out = re.sub(r'"(seconds|wall_time)": [0-9.e-]+', r'"\1": T', out)

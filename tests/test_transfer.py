@@ -106,14 +106,25 @@ REPEATS = {
 }
 
 
+# the largest excess digit, minimum(n) - ceil(n * density), of every offset set
+# with dmax <= 3: dominating, locating, identifying
+LARGEST_EXCESS = {
+    (1,): "001", (2,): "113", (3,): "224", (1, 2): "012", (1, 3): "111", (2, 3): "011",
+    (1, 2, 3): "013",
+}
+
+
 def _check_repeats(offset_sets):
     kinds = (Kind.DOMINATING, LOC, IDE)
     got = {}
     for offsets in offset_sets:
         for kind in kinds:
             p = transfer.solve(offsets, kind)
-            got[offsets, kind] = (p.live_states, p.onset, p.period, p.increment)
-    assert got == {(offsets, kind): (LIVE_STATES[offsets][i], *REPEATS[offsets][i])
+            # one character per stored order: every excess fits one digit
+            assert len(p.excess) == max(p.onset, p.first) + p.period - p.first
+            got[offsets, kind] = (p.live_states, p.onset, p.period, p.increment, max(p.excess))
+    assert got == {(offsets, kind): (LIVE_STATES[offsets][i], *REPEATS[offsets][i],
+                                     LARGEST_EXCESS[offsets][i])
                    for offsets in offset_sets for i, kind in enumerate(kinds)}
 
 

@@ -3,7 +3,8 @@
 ``VerificationResult``, ``BoundReport``, ``SearchStats``, ``Optimum`` and
 ``SearchResult`` are ``NamedTuple`` records; ``Code`` and ``PeriodicCode``
 are plain classes that refuse attribute assignment and compare and hash by
-their fields.  The reprs are pinned as the library has always printed them.
+their fields, and ``CirculantGraph`` refuses assignment too.  The reprs are
+pinned as the library has always printed them.
 """
 
 import pickle
@@ -60,9 +61,10 @@ def test_repr_is_pinned(value, text):
     assert repr(value) == text
 
 
-@pytest.mark.parametrize("value", [CODE, PERIODIC_IDENTIFYING_CODE],
-                         ids=["Code", "PeriodicCode"])
-@pytest.mark.parametrize("name", ["graph", "mask", "members", "period", "residues", "other"])
+@pytest.mark.parametrize("value", [CODE, PERIODIC_IDENTIFYING_CODE, G],
+                         ids=["Code", "PeriodicCode", "CirculantGraph"])
+@pytest.mark.parametrize("name", ["graph", "mask", "members", "period", "residues", "n",
+                                  "offsets", "pattern", "other"])
 def test_codes_refuse_assignment_and_deletion(value, name):
     before = repr(value), hash(value)
     with pytest.raises(AttributeError):
