@@ -14,11 +14,16 @@ bitmasks; ``_closed_masks`` builds them for the benchmark's trace counter
 (``bench/spans.py``) only.
 
 Vertex subsets are handled as int bitmasks (bit u set means vertex u is
-in the set); ``mask_of`` and ``set_of`` convert in linear time.  ``set_of``
+in the set); ``mask_of`` and ``set_of``, helpers of this module that the
+package does not export, convert in linear time.  ``set_of``
 unpacks through ``_flags``, one byte per vertex made from the mask's
 base-2 numeral, which ``itertools.compress`` turns into the vertices in C.
 ``Code.members`` is ``set_of`` of the code's mask, and ``Code`` reads the
 same bytes for its share tables.
+
+The three value types, ``CirculantGraph``, ``codes.Code`` and
+``constructions.PeriodicCode``, derive from ``_Frozen``, the one
+definition of their immutability.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from itertools import compress, count
 
 from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange, check_int
 
-__all__ = ["CirculantGraph", "mask_of", "set_of"]
+__all__ = ["CirculantGraph"]
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -65,15 +70,24 @@ def _flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
-def _refuse_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Frozen:
+    """Base of the immutable value types: assigning or deleting an attribute raises.
+
+    Its ``__slots__`` is empty, so a slotted subclass such as
+    ``CirculantGraph`` gets no ``__dict__``.  Constructors use
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _refuse_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-class CirculantGraph:
+class CirculantGraph(_Frozen):
     """The circulant graph C(n; d_1,...,d_k).
 
     Immutable after construction; all query methods are pure, so
@@ -95,9 +109,6 @@ class CirculantGraph:
         # N[u] = {u + p mod n : p in pattern}.  The 2k+1 residues are
         # distinct because every offset is below n/2.
         object.__setattr__(self, "pattern", (0, *[p for d in self.offsets for p in (d, -d)]))
-
-    __setattr__ = _refuse_setattr
-    __delattr__ = _refuse_delattr
 
     @property
     def _closed_masks(self) -> tuple[int, ...]:

@@ -370,8 +370,14 @@ def cmd_prove(args) -> int:
     return EXIT_INVALID if matches is False else EXIT_OK
 
 
+@cache
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's own parser by command name."""
+    """The top-level parser, and each command's own parser by command name.
+
+    Built once per process and only read afterwards: building them takes
+    longer than a short command such as `construct`, so repeated in-process
+    calls to main, and to build_parser, reuse them.
+    """
     parser = argparse.ArgumentParser(
         prog="circodes",
         description="Locating and identifying codes in circulant graphs.",
@@ -435,17 +441,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, the one main uses: parse with it, do not change it."""
     return _build_parsers()[0]
-
-
-@cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers, built once per process and only read afterwards.
-
-    Building them takes longer than a short command such as `construct`, so
-    repeated in-process calls to main reuse them.
-    """
-    return _build_parsers()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -455,7 +452,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     top-level parser reports --help, a missing or unknown command and
     arguments the command does not take, with argparse's own messages.
     """
-    parser, commands = _parsers()
+    parser, commands = _build_parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)

@@ -69,7 +69,7 @@ from itertools import compress
 from numbers import Number
 from typing import NamedTuple
 
-from .circulant import CirculantGraph, _flags, _refuse_delattr, _refuse_setattr, set_of
+from .circulant import CirculantGraph, _flags, _Frozen, set_of
 from .errors import NotInCode, ShareUndefined, VertexOutOfRange, check_int
 
 __all__ = [
@@ -82,7 +82,6 @@ __all__ = [
     "LOCATING_HEAVY_PROFILES",
     "IDENTIFYING_HEAVY_PROFILES",
     "heavy_profile_violations",
-    "defects",
 ]
 
 
@@ -135,7 +134,7 @@ class VerificationResult(NamedTuple):
         return self.ok
 
 
-class Code:
+class Code(_Frozen):
     """A candidate code: a vertex subset of a circulant graph, held as its mask.
 
     Bit u of ``mask`` is set when vertex u is a member.  ``Code(graph,
@@ -170,9 +169,6 @@ class Code:
         object.__setattr__(code, "graph", graph)
         object.__setattr__(code, "mask", mask)
         return code
-
-    __setattr__ = _refuse_setattr
-    __delattr__ = _refuse_delattr
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

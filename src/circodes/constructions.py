@@ -4,8 +4,10 @@ Finite constructions come in two layers.  ``construct_A``/``construct_B``
 build the pure block codes on C(6t;1,3) and C(11t;1,3).  The per-order
 functions ``locating_code_for`` and ``identifying_code_for`` extend the
 blocks with a residue-dependent tail patch so that every order in range
-gets a verified code; for n >= 13 its size is the minimum that the stored
-transfer-matrix proofs (``proofs``) give.
+gets a verified code.  Its size is read from the stored transfer-matrix
+proofs (``proofs``), the one statement of the paper's theorem: for n >= 13
+the minimum, ceil(n/3) + c locating and ceil(4n/11) + c' identifying, with
+c, c' in {0, 1}.  ``_checked`` holds every table row to that size.
 
 Every block code is built as a mask, with no loop over members: the
 block's base-2 numeral, repeated once per whole block and parsed once,
@@ -23,10 +25,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circulant import CirculantGraph, _refuse_delattr, _refuse_setattr, mask_of
+from .circulant import CirculantGraph, _Frozen, mask_of
 from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
                     defects)
 from .errors import UnsupportedOrder, check_int
+from .proofs import PROOFS
 
 __all__ = [
     "PeriodicCode",
@@ -77,9 +80,10 @@ _IDENTIFYING_ROWS: dict[int, tuple[int, ...]] = {
     10: (-10, -9, -6, -5),
 }
 
-# Orders where a code one vertex smaller than the general family exists.
-# These were found by exhaustive search and are stored verbatim; from the
-# next order in the same residue class onward no code of this size exists.
+# Orders where the block-plus-patch family is one vertex above the proved
+# minimum (classes 2 and 5 mod 11, through n = 35 and 27).  These codes were
+# found by exhaustive search and are stored verbatim; from the next order in
+# the same residue class onward the proof's excess digit is 1.
 _IDENTIFYING_SPECIALS: dict[int, tuple[int, ...]] = {
     13: (0, 1, 6, 7, 10),
     24: (0, 1, 2, 6, 9, 10, 15, 16, 19),
@@ -89,7 +93,7 @@ _IDENTIFYING_SPECIALS: dict[int, tuple[int, ...]] = {
 }
 
 
-class PeriodicCode:
+class PeriodicCode(_Frozen):
     """A periodic vertex set {i*period + r : i in Z, r in residues}.
 
     Immutable; equal, and hashed alike, when period and residues are.
@@ -105,9 +109,6 @@ class PeriodicCode:
                         for r in residues)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "residues", res)
-
-    __setattr__ = _refuse_setattr
-    __delattr__ = _refuse_delattr
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -190,36 +191,30 @@ def construct_B(t: int) -> Code:
 
 
 def locating_code_size(n: int) -> int:
-    """Size of the code locating_code_for(n) returns.
+    """Size of the code locating_code_for(n) returns: the exact minimum.
 
-    ceil(n/3), plus one when n is 2, 3, or 5 mod 6.  This is the exact
-    minimum for every n >= 13: the stored transfer-matrix proof
-    (``proofs``, recomputed by ``circodes prove``) gives the same minimum
-    for every such n.  In particular no code of size ceil(n/3) exists when
-    n is 2, 3, or 5 mod 6.
+    The stored transfer-matrix proof's minimum (``proofs``, recomputed by
+    ``circodes prove``), ceil(n/3) + c with c in {0, 1}.
     """
     n = check_int(n, "n", 13, error=UnsupportedOrder,
                   message="no general locating construction for n={value!r} < {lo}")
-    return -(-n // 3) + (1 if n % 6 in (2, 3, 5) else 0)
+    return PROOFS[(1, 3), Kind.LOCATING].minimum(n)
 
 
 def identifying_code_size(n: int) -> int:
     """Size of the code identifying_code_for(n) returns.
 
-    ceil(4n/11) in most residue classes.  One more in class 8 (mod 11), and
-    in classes 2 and 5 (mod 11) past their last thin orders (35 and 27).
-    This is the exact minimum for every n >= 13, by the stored
-    transfer-matrix proof (``proofs``, recomputed by ``circodes prove``).
+    The stored transfer-matrix proof's minimum for n >= 13 (``proofs``,
+    recomputed by ``circodes prove``), ceil(4n/11) + c' with c' in {0, 1};
+    ceil(4n/11) at n = 11 and 12, below the proof's range.
     """
     n = check_int(n, "n", 11, error=UnsupportedOrder,
                   message="no general identifying construction for n={value!r} < {lo}")
-    r = n % 11
-    extra = r == 8 or (r == 2 and n > 35) or (r == 5 and n > 27)
-    return -(-4 * n // 11) + (1 if extra else 0)
+    return PROOFS[(1, 3), Kind.IDENTIFYING].minimum(n) if n >= 13 else -(-4 * n // 11)
 
 
 def _checked(code: Code, size: int) -> Code:
-    """Return code, or raise if a table row disagrees with the size formula."""
+    """Return code, or raise if a table row disagrees with the stored proof's size."""
     if len(code) != size:
         raise RuntimeError(f"table row for n={code.graph.n} produced size "
                            f"{len(code)}, expected {size}")
@@ -237,9 +232,8 @@ def _tiled_code(n: int, numeral: str, patch: tuple[int, ...]) -> Code:
 def locating_code_for(n: int) -> Code:
     """A minimum locating code in C(n;1,3) for n >= 13.
 
-    Residue classes 0, 1, 4 (mod 6) get size ceil(n/3); classes 2, 3, 5 get
-    ceil(n/3) + 1, which the stored transfer-matrix proof shows is optimal
-    for every n.
+    Whole blocks plus the tail patch of n's residue class (mod 6), of the
+    size ``locating_code_size`` reads from the stored proof.
     """
     size = locating_code_size(n)  # checks n: UnsupportedOrder below 13
     return _checked(_tiled_code(n, _LOCATING_NUMERAL, _LOCATING_ROWS[n % 6]), size)
@@ -250,8 +244,8 @@ def identifying_code_for(n: int) -> Code:
 
     Uses the stored exhaustive-search optima for the five thin orders in
     residue classes 2 and 5 (mod 11), and the block-plus-patch family
-    everywhere else.  The stored transfer-matrix proof shows the size is
-    optimal for every n >= 13.
+    everywhere else, of the size ``identifying_code_size`` reads from the
+    stored proof.
     """
     size = identifying_code_size(n)  # checks n: UnsupportedOrder below 11
     if n in _IDENTIFYING_SPECIALS:

@@ -2,7 +2,20 @@
 integer-argument rule: an ``int`` or an int subclass passes, as a plain
 ``int``; a ``bool``, a float such as 13.0 (which equals an int key of the
 kernel caches, so it would poison them), a string or ``None`` never does.
+``check_int`` is the library's own and stays out of ``__all__``.
 """
+
+__all__ = [
+    "CircodesError",
+    "OffsetOutOfRange",
+    "DuplicateOffset",
+    "VertexOutOfRange",
+    "NotInCode",
+    "ShareUndefined",
+    "UnsupportedOrder",
+    "OracleTooLarge",
+    "BudgetExceeded",
+]
 
 
 class CircodesError(Exception):

@@ -490,8 +490,9 @@ def _from_proof(g: CirculantGraph, kind: Kind, k: int | None = None) -> SearchRe
     it the answer is the table construction plus the k - m smallest
     non-members, set as the lowest zero bits of its mask (adding vertices
     keeps a code valid), after one Code.verify.  None, so that the search
-    runs, where no stored proof covers g or the construction has the wrong
-    size or fails the check.
+    runs, where no stored proof covers g, where (offsets, kind) has no table
+    construction (only {1,3} locating and identifying have one), or where
+    the construction has the wrong size or fails the check.
     """
     proof = proof_for(g.offsets, kind, g.n)
     if proof is None:
@@ -501,6 +502,8 @@ def _from_proof(g: CirculantGraph, kind: Kind, k: int | None = None) -> SearchRe
     note = f"proved minimum {size}"
     if k < size:
         return SearchResult(kind, g.n, None, SearchStats(), note, "proof")
+    if g.offsets != (1, 3) or kind is Kind.DOMINATING:
+        return None
     build = (constructions.locating_code_for if kind is Kind.LOCATING
              else constructions.identifying_code_for)
     code = build(g.n)

@@ -169,6 +169,46 @@ def test_identifying_codes_valid_with_advertised_size():
         assert len(code) == identifying_code_size(n), n
 
 
+# -- the sizes against the closed forms ------------------------------------------
+
+# The size functions read the stored transfer-matrix proofs; these closed
+# forms are the independent check, written out residue class by residue class.
+
+def _locating_closed_form(n):
+    """ceil(n/3), plus one when n is 2, 3, or 5 mod 6."""
+    return -(-n // 3) + (1 if n % 6 in (2, 3, 5) else 0)
+
+
+def _identifying_closed_form(n):
+    """ceil(4n/11), plus one in class 8 (mod 11) and in classes 2 and 5 past
+    their last thin orders (35 and 27)."""
+    r = n % 11
+    extra = r == 8 or (r == 2 and n > 35) or (r == 5 and n > 27)
+    return -(-4 * n // 11) + (1 if extra else 0)
+
+
+@pytest.mark.parametrize("size, closed_form, first, period", [
+    (locating_code_size, _locating_closed_form, 13, 6),
+    (identifying_code_size, _identifying_closed_form, 11, 11),
+], ids=["locating", "identifying"])
+def test_sizes_match_the_closed_forms(size, closed_form, first, period):
+    orders = [*range(first, 5001), *range(10**4, 10**4 + period),
+              *range(10**6, 10**6 + period)]
+    assert [size(n) for n in orders] == [closed_form(n) for n in orders]
+
+
+@pytest.mark.parametrize("size, n, message", [
+    (locating_code_size, 12, "no general locating construction for n=12 < 13"),
+    (identifying_code_size, 10, "no general identifying construction for n=10 < 11"),
+    (locating_code_size, 13.0, "n must be an integer, got 13.0"),
+    (identifying_code_size, "11", "n must be an integer, got '11'"),
+])
+def test_size_errors_are_worded(size, n, message):
+    with pytest.raises(UnsupportedOrder) as caught:
+        size(n)
+    assert str(caught.value) == message
+
+
 # -- periodic codes ---------------------------------------------------------
 
 def test_periodic_validation():

@@ -256,6 +256,31 @@ def test_construction_errors_propagate(monkeypatch):
         min_code_size(C(60), Kind.IDENTIFYING)
 
 
+def test_proof_without_a_table_construction_is_searched(monkeypatch):
+    # the certificate is picked by (offsets, kind): a stored dominating proof
+    # of C(n;1,3) answers below its minimum, and the search finds the code
+    from circodes import constructions, proofs, transfer
+
+    proof = transfer.solve((1, 3), Kind.DOMINATING)
+    monkeypatch.setitem(proofs.PROOFS, ((1, 3), Kind.DOMINATING), proof)
+
+    def broken(n):
+        raise RuntimeError("no table construction for dominating codes")
+
+    monkeypatch.setattr(constructions, "locating_code_for", broken)
+    monkeypatch.setattr(constructions, "identifying_code_for", broken)
+    g, minimum = C(20), proof.minimum(20)
+    result = min_code_size(g, "dominating")
+    assert (result.outcome.size, result.engine) == (minimum, "dfs")
+    assert result.outcome.certificate.verify(Kind.DOMINATING)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched below the proved minimum")
+
+    monkeypatch.setattr(search, "_search_at_size", no_search)
+    assert exists_code_of_size(g, Kind.DOMINATING, minimum - 1) is None
+
+
 # -- pinned search counts -----------------------------------------------------------
 
 # (offsets, n, kind, k, deep, pruned_symmetry, pruned_bound, certificate)

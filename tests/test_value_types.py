@@ -3,8 +3,9 @@
 ``VerificationResult``, ``BoundReport``, ``SearchStats``, ``Optimum`` and
 ``SearchResult`` are ``NamedTuple`` records; ``Code`` and ``PeriodicCode``
 are plain classes that refuse attribute assignment and compare and hash by
-their fields, and ``CirculantGraph`` refuses assignment too.  The reprs are
-pinned as the library has always printed them.
+their fields, and ``CirculantGraph`` refuses assignment too: all three derive
+from ``circulant._Frozen``.  The reprs are pinned as the library has always
+printed them.
 """
 
 import pickle
@@ -72,6 +73,13 @@ def test_codes_refuse_assignment_and_deletion(value, name):
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert (repr(value), hash(value)) == before
+
+
+def test_graphs_are_slot_only():
+    # a graph costs O(k) memory; a base class without __slots__ = () would
+    # give every graph a __dict__.  Code keeps one for its cached tables.
+    assert not hasattr(CirculantGraph(13), "__dict__")
+    assert hasattr(CODE, "__dict__")
 
 
 def test_code_compares_and_hashes_by_graph_and_mask():
