@@ -9,10 +9,12 @@ from the stored one), 2 usage error, 3 search budget exceeded.  Errors and
 a blown budget are reported on stderr, except that `search --json` reports
 a blown budget in its document on stdout.
 
-`main` parses its arguments once, with the command's own parser; the
-top-level parser only reports --help, a missing or unknown command and
-arguments the command does not take, so every message and exit code is
-argparse's own.
+Every command's options are declared once, in `_COMMANDS`.  A plain call
+(a known command, then only its exact option strings with valid values)
+is read from that table and builds no parser.  Any other argv goes to the
+argparse parsers built from the table: the command's own parser, or the
+top-level one for --help and a missing or unknown command, so every
+message and exit code is argparse's own.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .constructions import (
 )
 from .errors import BudgetExceeded, CircodesError, UnsupportedOrder
 from .proofs import PROOFS
-from .search import _code_of_size, lower_bound, min_code_size
+# lower_bound is not called here; bench/spans.py wraps cli.lower_bound
+from .search import _bounds, _code_of_size, lower_bound, min_code_size
 
 SCHEMA_VERSION = "v1"
 
@@ -238,7 +241,7 @@ def cmd_search(args) -> int:
         outcome = {"exists": code is not None, "size": args.k, "code": code}
     else:
         outcome = {"optimum": None if found is None else found.size, "code": code,
-                   "lower_bound": lower_bound(args.n, kind, g.offsets).effective}
+                   "lower_bound": _bounds(g, kind).effective}
         if found is None:
             outcome["note"] = result.note
     outcome |= {"stats": stats, "engine": result.engine, "proved": True}
@@ -275,7 +278,8 @@ def cmd_table(args) -> int:
     size_fn = locating_code_size if kind is Kind.LOCATING else identifying_code_size
     rows = []
     for n in range(args.n_from, args.n_to + 1):
-        bounds = lower_bound(n, kind)
+        g = CirculantGraph(n)
+        bounds = _bounds(g, kind)
         try:
             construction = size_fn(n)
         except UnsupportedOrder:
@@ -283,7 +287,7 @@ def cmd_table(args) -> int:
         # proved orders need no budget; a construction that fails its check
         # falls back to the budgeted search
         try:
-            result = min_code_size(CirculantGraph(n), kind)
+            result = min_code_size(g, kind)
             optimum, engine = result.outcome.size, result.engine
         except BudgetExceeded:
             optimum = engine = None
@@ -370,73 +374,73 @@ def cmd_prove(args) -> int:
     return EXIT_INVALID if matches is False else EXIT_OK
 
 
+_FLAG = {"action": "store_true"}
+_JSON = ("--json", _FLAG)
+_N = ("-n", {"type": int, "required": True})
+_KIND = ("--kind", {"required": True})
+
+# Each command's help, function, options and mutually exclusive options,
+# declared once: an option is its flag and the keywords of its add_argument
+# call, a value option or, with action "store_true", a flag.
+# _build_parsers builds the argparse parsers from this table, and _plain
+# reads a plain argv with it directly.
+_COMMANDS = {
+    "verify": ("verify a code against a property", cmd_verify, (
+        ("-n", {"type": int, "required": True, "help": "number of vertices"}),
+        ("--offsets", {"default": "1,3", "help": "comma-separated offsets"}),
+        ("--code", {"required": True,
+                    "help": "comma-separated vertices, or @file with one per line"}),
+        ("--kind", {"required": True, "help": "dominating, locating, or identifying"}),
+        ("--shadows", {"action": "store_true", "help": "print every shadow"}),
+        ("--shares", {"action": "store_true", "help": "print member shares"}),
+        ("--heavy", {"metavar": "THRESH",
+                     "help": "list vertices with share above THRESH (e.g. 3 or 11/4)"}),
+        _JSON), ()),
+    "construct": ("emit the table construction for an order", cmd_construct, (
+        _N, ("--kind", {"required": True, "help": "locating or identifying"}), _JSON), ()),
+    "search": ("exact minimum size, or existence at --k", cmd_search, (
+        _N, ("--offsets", {"default": "1,3"}), _KIND,
+        ("--k", {"type": int, "help": "test one size only"}),
+        ("--budget", {"type": int, "help": "largest order searched exhaustively"}),
+        ("--progress", {"action": "store_true",
+                        "help": "report candidate throughput on stderr"}),
+        _JSON), ()),
+    "table": ("bounds/construction/optimum per order", cmd_table, (
+        _KIND,
+        ("--from", {"dest": "n_from", "type": int, "required": True}),
+        ("--to", {"dest": "n_to", "type": int, "required": True})),
+        (("--csv", _FLAG), _JSON)),
+    "density": ("density and validity of a periodic code", cmd_density, (
+        ("--period", {"type": int, "required": True}),
+        ("--residues", {"required": True, "help": "comma-separated residues"}),
+        _KIND, _JSON), ()),
+    "prove": ("recompute the transfer-matrix proof of the optima", cmd_prove, (
+        _KIND, ("--offsets", {"default": "1,3", "help": "largest offset at most 3"}),
+        _JSON), ()),
+}
+
+
 @cache
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each command's own parser by command name.
 
-    Built once per process and only read afterwards: building them takes
-    longer than a short command such as `construct`, so repeated in-process
-    calls to main, and to build_parser, reuse them.
+    Built from _COMMANDS once per process, when a call first needs one, and
+    only read afterwards.
     """
     parser = argparse.ArgumentParser(
         prog="circodes",
         description="Locating and identifying codes in circulant graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="verify a code against a property")
-    p.add_argument("-n", type=int, required=True, help="number of vertices")
-    p.add_argument("--offsets", default="1,3", help="comma-separated offsets")
-    p.add_argument("--code", required=True,
-                   help="comma-separated vertices, or @file with one per line")
-    p.add_argument("--kind", required=True,
-                   help="dominating, locating, or identifying")
-    p.add_argument("--shadows", action="store_true", help="print every shadow")
-    p.add_argument("--shares", action="store_true", help="print member shares")
-    p.add_argument("--heavy", metavar="THRESH",
-                   help="list vertices with share above THRESH (e.g. 3 or 11/4)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("construct", help="emit the table construction for an order")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--kind", required=True, help="locating or identifying")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_construct)
-
-    p = sub.add_parser("search", help="exact minimum size, or existence at --k")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--offsets", default="1,3")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--k", type=int, default=None, help="test one size only")
-    p.add_argument("--budget", type=int, default=None,
-                   help="largest order searched exhaustively")
-    p.add_argument("--progress", action="store_true",
-                   help="report candidate throughput on stderr")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("table", help="bounds/construction/optimum per order")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
-    out = p.add_mutually_exclusive_group()
-    out.add_argument("--csv", action="store_true")
-    out.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("density", help="density and validity of a periodic code")
-    p.add_argument("--period", type=int, required=True)
-    p.add_argument("--residues", required=True, help="comma-separated residues")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("prove", help="recompute the transfer-matrix proof of the optima")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--offsets", default="1,3", help="largest offset at most 3")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_prove)
+    for name, (text, func, options, exclusive) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if exclusive:
+            group = p.add_mutually_exclusive_group()
+            for flag, keywords in exclusive:
+                group.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
@@ -445,13 +449,59 @@ def build_parser() -> argparse.ArgumentParser:
     return _build_parsers()[0]
 
 
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for a plain argv, read from _COMMANDS.
+
+    Plain means a known command, then only exact option strings of that
+    command, none twice: a flag takes no token, and a value option takes
+    the next one, which must not start with "-" and must convert with the
+    option's type.  Every required option is given, and at most one of the
+    exclusive options.  Any other argv gives None, for argparse to judge.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, options, exclusive = entry
+    options += exclusive
+    specs = dict(options)
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = specs.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if "action" in keywords:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        try:
+            given[flag] = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    if (any(keywords.get("required") and flag not in given for flag, keywords in options)
+            or sum(flag in given for flag, _ in exclusive) > 1):
+        return None
+    values = {"command": argv[0]}
+    for flag, keywords in options:
+        values[keywords.get("dest") or flag.lstrip("-").replace("-", "_")] = given.get(
+            flag, keywords.get("default", False if "action" in keywords else None))
+    return argparse.Namespace(**values, func=func)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace that build_parser().parse_args(argv) gives, in one pass.
 
-    A known command's own parser reads everything after its name.  The
-    top-level parser reports --help, a missing or unknown command and
-    arguments the command does not take, with argparse's own messages.
+    A plain argv is read from _COMMANDS alone, and builds no parser.  Any
+    other goes to argparse: a known command's own parser reads everything
+    after its name, and the top-level parser reports --help, a missing or
+    unknown command and arguments the command does not take, with
+    argparse's own messages.
     """
+    args = _plain(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parsers()
     command = commands.get(argv[0]) if argv else None
     if command is None:

@@ -302,7 +302,11 @@ def lower_bound(n: int, kind: Kind, offsets: tuple[int, ...] = (1, 3)) -> BoundR
     offsets {1,3} and n >= 13 that is the paper's n/3 locating and 4n/11
     identifying.
     """
-    g, kind = CirculantGraph(n, offsets), _as_kind(kind)
+    return _bounds(CirculantGraph(n, offsets), _as_kind(kind))
+
+
+def _bounds(g: CirculantGraph, kind: Kind) -> BoundReport:
+    """``lower_bound`` of the order and offsets of g, for a caller that has g."""
     n, degree = g.n, g.degree
     if kind is Kind.LOCATING:
         general = -(-2 * n // (degree + 3))
@@ -557,7 +561,7 @@ def min_code_size(g: CirculantGraph, kind: Kind, *, budget: int | None = None,
         raise ValueError(f"threads must be 1: the search runs in one process, "
                          f"got {threads}")
     limit = DEFAULT_SEARCH_BUDGETS[kind] if budget is None else budget
-    report = lower_bound(g.n, kind, g.offsets)
+    report = _bounds(g, kind)
     if g.n > limit:
         raise BudgetExceeded(f"order {g.n} exceeds search budget {limit}; "
                              f"lower bound {report.effective}")

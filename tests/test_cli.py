@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from circodes import CirculantGraph, Code, Kind, cli, min_code_size, search
+from circodes import (CirculantGraph, Code, Kind, cli, identifying_code_size, lower_bound,
+                      min_code_size, search)
 from circodes.cli import main
 
 
@@ -503,6 +504,37 @@ def test_table_byte_stable(capsys):
     assert first == second
 
 
+GRAPH_BUILDS = {
+    # a graph per row, shared by its bound and its search; the construction
+    # builds its own on the 17 proved rows, 13..29
+    ("table", "--kind", "identifying", "--from", "8", "--to", "29", "--csv"): 39,
+    ("search", "-n", "12", "--kind", "locating"): 1,  # the DFS
+    ("search", "-n", "60", "--kind", "identifying"): 2,  # the proof and its construction
+}
+
+
+@pytest.mark.parametrize("argv", GRAPH_BUILDS, ids=" ".join)
+def test_one_graph_per_question(capsys, monkeypatch, argv):
+    builds = []
+    init = CirculantGraph.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CirculantGraph, "__init__", counted)
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.undo()
+    assert code == 0 and len(builds) == GRAPH_BUILDS[argv]
+    if argv[0] == "table":
+        # the rows the public entry points give, each building its own graphs
+        assert out.splitlines()[1:] == [
+            f"{n},{lower_bound(n, Kind.IDENTIFYING).effective},"
+            f"{'' if n < 11 else identifying_code_size(n)},"
+            f"{min_code_size(CirculantGraph(n), Kind.IDENTIFYING).outcome.size},"
+            f"{'' if n < 11 else '='}" for n in range(8, 30)]
+
+
 def test_table_bad_range_exit_two(capsys):
     code, _, err = run(capsys, "table", "--kind", "locating",
                        "--from", "20", "--to", "10")
@@ -671,10 +703,12 @@ def test_parse_matches_full_parser(capsys, argv):
     assert expected[0] in (None, 0, 2)
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
-def test_each_call_parses_once(capsys, monkeypatch, argv):
-    # a command's arguments go through its own parser alone; only a missing
-    # or unknown command, or --help, reaches the top-level parser
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_each_call_parses_once(capsys, monkeypatch, case):
+    # a plain call (the six command cases) is read from the option table and
+    # reaches no parser; any other argv reaches one: its command's own parser,
+    # or the top-level parser for a missing or unknown command and --help
+    argv = PARSE_CASES[case]
     parsers = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -688,7 +722,32 @@ def test_each_call_parses_once(capsys, monkeypatch, argv):
     except SystemExit:
         pass
     capsys.readouterr()
-    assert parsers == [f"circodes {argv[0]}" if argv and argv[0] in COMMANDS else "circodes"]
+    if case in COMMANDS:
+        assert parsers == []
+    else:
+        assert parsers == [f"circodes {argv[0]}" if argv and argv[0] in COMMANDS
+                           else "circodes"]
+
+
+def test_plain_calls_build_no_parser():
+    # in a fresh interpreter the six plain calls leave _build_parsers unbuilt,
+    # and the first call that argparse must judge builds it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = "\n".join([
+        "import contextlib, io",
+        "from circodes import cli",
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+        f"    codes = [cli.main(argv) for argv in {[PARSE_CASES[c] for c in COMMANDS]!r}]",
+        "    built = cli._build_parsers.cache_info().currsize",
+        "    try:",
+        f"        cli.main({PARSE_CASES['missing option']!r})",
+        "    except SystemExit as exc:",
+        "        codes.append(exc.code)",
+        "print(codes, built, cli._build_parsers.cache_info().currsize)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout == "[0, 0, 0, 0, 0, 0, 2] 0 1\n"
 
 
 def test_entry_point_reads_sys_argv():
