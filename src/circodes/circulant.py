@@ -14,9 +14,9 @@ bitmasks; ``_closed_masks`` builds them for the benchmark's trace counter
 (``bench/spans.py``) only.
 
 Vertex subsets are handled as int bitmasks (bit u set means vertex u is
-in the set); ``mask_of`` and ``set_of``, helpers of this module that the
-package does not export, convert in linear time.  ``set_of``
-unpacks through ``_flags``, one byte per vertex made from the mask's
+in the set).  ``Code`` packs its members into one; ``set_of``, a helper
+of this module that the package does not export, unpacks a mask in
+linear time, through ``_flags``, one byte per vertex made from the mask's
 base-2 numeral, which ``itertools.compress`` turns into the vertices in C.
 ``Code.members`` is ``set_of`` of the code's mask, and ``Code`` reads the
 same bytes for its share tables.
@@ -34,21 +34,6 @@ from itertools import compress, count
 from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange, check_int
 
 __all__ = ["CirculantGraph"]
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    """Pack nonnegative vertices into a bitmask, in linear time.
-
-    One ASCII digit per vertex, read as a base-2 numeral.
-    """
-    vertices = [check_int(v, "vertex", 0) for v in vertices]
-    if not vertices:
-        return 0
-    digits = bytearray(b"0") * (max(vertices) + 1)
-    for v in vertices:
-        digits[v] = 49  # ord("1")
-    digits.reverse()
-    return int(digits, 2)
 
 
 def set_of(mask: int) -> frozenset[int]:

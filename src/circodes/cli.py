@@ -12,9 +12,8 @@ a blown budget in its document on stdout.
 Every command's options are declared once, in `_COMMANDS`.  A plain call
 (a known command, then only its exact option strings with valid values)
 is read from that table and builds no parser.  Any other argv goes to the
-argparse parsers built from the table: the command's own parser, or the
-top-level one for --help and a missing or unknown command, so every
-message and exit code is argparse's own.
+argparse parser built from the same table, in one parse_args call, so
+every message and exit code is argparse's own.
 """
 
 from __future__ import annotations
@@ -382,7 +381,7 @@ _KIND = ("--kind", {"required": True})
 # Each command's help, function, options and mutually exclusive options,
 # declared once: an option is its flag and the keywords of its add_argument
 # call, a value option or, with action "store_true", a flag.
-# _build_parsers builds the argparse parsers from this table, and _plain
+# build_parser builds the argparse parser from this table, and _plain
 # reads a plain argv with it directly.
 _COMMANDS = {
     "verify": ("verify a code against a property", cmd_verify, (
@@ -421,10 +420,10 @@ _COMMANDS = {
 
 
 @cache
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's own parser by command name.
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, the one main uses: parse with it, do not change it.
 
-    Built from _COMMANDS once per process, when a call first needs one, and
+    Built from _COMMANDS once per process, when a call first needs it, and
     only read afterwards.
     """
     parser = argparse.ArgumentParser(
@@ -441,12 +440,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
             for flag, keywords in exclusive:
                 group.add_argument(flag, **keywords)
         p.set_defaults(func=func)
-    return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, the one main uses: parse with it, do not change it."""
-    return _build_parsers()[0]
+    return parser
 
 
 def _plain(argv: list[str]) -> argparse.Namespace | None:
@@ -491,25 +485,13 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace that build_parser().parse_args(argv) gives, in one pass.
+    """The namespace that build_parser().parse_args(argv) gives.
 
-    A plain argv is read from _COMMANDS alone, and builds no parser.  Any
-    other goes to argparse: a known command's own parser reads everything
-    after its name, and the top-level parser reports --help, a missing or
-    unknown command and arguments the command does not take, with
-    argparse's own messages.
+    A plain argv is read from _COMMANDS alone, and builds no parser; any
+    other is build_parser().parse_args(argv), so --help, a missing or
+    unknown command and every usage error get argparse's own messages.
     """
-    args = _plain(argv)
-    if args is not None:
-        return args
-    parser, commands = _build_parsers()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

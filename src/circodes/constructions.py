@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .circulant import CirculantGraph, _Frozen, mask_of
+from .circulant import CirculantGraph, _Frozen
 from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
                     defects)
 from .errors import UnsupportedOrder, check_int
@@ -135,7 +135,7 @@ def _numeral(period: int, residues) -> str:
     Repeated t times and parsed once, it is the mask of t periods from
     vertex 0: linear in t * period, with no loop over members.
     """
-    return format(mask_of(residues), f"0{period}b")
+    return format(sum(1 << r for r in residues), f"0{period}b")
 
 
 _LOCATING_NUMERAL = _numeral(LOCATING_BLOCK_PERIOD, LOCATING_BLOCK)

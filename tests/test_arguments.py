@@ -34,7 +34,7 @@ from circodes import (
     min_code_size,
 )
 from circodes import transfer
-from circodes.circulant import mask_of, set_of
+from circodes.circulant import set_of
 from circodes.proofs import PROOFS
 
 C = CirculantGraph
@@ -56,7 +56,6 @@ ENTRY_POINTS = {
     # the width check names the top bit, so only masks below 0 are out of range
     "from-mask": (lambda v: Code.from_mask(C(13), v), 0, None),
     "set-of": (set_of, 0, None),
-    "mask-of": (lambda v: mask_of([v]), 0, None),
     "period": (lambda v: PeriodicCode(v, [0]), 1, None),
     "residue": (lambda v: PeriodicCode(6, [v]), 0, 5),
     "construct-A": (construct_A, 2, None),

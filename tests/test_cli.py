@@ -662,7 +662,20 @@ def test_search_negative_budget_exit_two(capsys, n, k, fmt):
 
 COMMANDS = ("verify", "construct", "search", "table", "density", "prove")
 
-PARSE_CASES = {
+# the eight calls of README's "Command line" block, as written there
+README_CALLS = (
+    "verify -n 14 --code 0,1,6,7,12,13 --kind locating",
+    "verify -n 11 --code @code.txt --kind identifying --shares --heavy 11/4",
+    "construct -n 22 --kind identifying",
+    "search -n 12 --kind locating",
+    "search -n 19 --kind identifying --k 7",
+    "table --kind locating --from 13 --to 24 --csv",
+    "density --period 11 --residues 0,1,4,5 --kind identifying",
+    "prove --kind identifying",
+)
+
+# read from the option table alone: one call per command, and README's calls
+PLAIN_CASES = {
     "verify": ["verify", "-n", "14", "--code", "0,1,6,7,12,13", "--kind", "locating",
                "--shares", "--heavy", "3"],
     "construct": ["construct", "-n", "22", "--kind", "identifying", "--json"],
@@ -671,6 +684,11 @@ PARSE_CASES = {
     "table": ["table", "--kind", "locating", "--from", "13", "--to", "15", "--csv"],
     "density": ["density", "--period", "6", "--residues", "0,1", "--kind", "locating"],
     "prove": ["prove", "--kind", "identifying", "--offsets", "1,2", "--json"],
+    **{f"circodes {call}": call.split() for call in README_CALLS},
+}
+
+# judged by argparse
+OTHER_CASES = {
     **{f"{command} -h": [command, "-h"] for command in COMMANDS},
     "-h": ["-h"],
     "--help": ["--help"],
@@ -684,6 +702,8 @@ PARSE_CASES = {
     "two unrecognized": ["construct", "stray", "-n", "14", "--kind", "locating", "--x"],
 }
 
+PARSE_CASES = PLAIN_CASES | OTHER_CASES
+
 
 def _parsed(capsys, parse, argv):
     try:
@@ -694,20 +714,22 @@ def _parsed(capsys, parse, argv):
     return code, captured.out, captured.err, namespace
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
-def test_parse_matches_full_parser(capsys, argv):
-    # one pass with the command's own parser reads every argv as the
-    # top-level parser does: namespace, exit code, stdout and stderr
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_parse_matches_full_parser(capsys, case):
+    # _parse reads every argv as the top-level parser does: namespace, exit
+    # code, stdout and stderr; the option table reads the plain cases alone
+    argv = PARSE_CASES[case]
     expected = _parsed(capsys, cli.build_parser().parse_args, argv)
     assert _parsed(capsys, cli._parse, argv) == expected
     assert expected[0] in (None, 0, 2)
+    assert cli._plain(list(argv)) == (expected[3] if case in PLAIN_CASES else None)
 
 
 @pytest.mark.parametrize("case", PARSE_CASES)
 def test_each_call_parses_once(capsys, monkeypatch, case):
-    # a plain call (the six command cases) is read from the option table and
-    # reaches no parser; any other argv reaches one: its command's own parser,
-    # or the top-level parser for a missing or unknown command and --help
+    # a plain call is read from the option table and reaches no parser; any
+    # other argv goes to the top-level parser first, and only once (argparse
+    # hands a known command's arguments on to that command's parser)
     argv = PARSE_CASES[case]
     parsers = []
     parse = argparse.ArgumentParser.parse_known_args
@@ -722,15 +744,15 @@ def test_each_call_parses_once(capsys, monkeypatch, case):
     except SystemExit:
         pass
     capsys.readouterr()
-    if case in COMMANDS:
+    if case in PLAIN_CASES:
         assert parsers == []
     else:
-        assert parsers == [f"circodes {argv[0]}" if argv and argv[0] in COMMANDS
-                           else "circodes"]
+        assert parsers[0] == "circodes"
+        assert parsers.count("circodes") == 1
 
 
 def test_plain_calls_build_no_parser():
-    # in a fresh interpreter the six plain calls leave _build_parsers unbuilt,
+    # in a fresh interpreter the six plain calls leave build_parser unbuilt,
     # and the first call that argparse must judge builds it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = "\n".join([
@@ -738,12 +760,12 @@ def test_plain_calls_build_no_parser():
         "from circodes import cli",
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
         f"    codes = [cli.main(argv) for argv in {[PARSE_CASES[c] for c in COMMANDS]!r}]",
-        "    built = cli._build_parsers.cache_info().currsize",
+        "    built = cli.build_parser.cache_info().currsize",
         "    try:",
         f"        cli.main({PARSE_CASES['missing option']!r})",
         "    except SystemExit as exc:",
         "        codes.append(exc.code)",
-        "print(codes, built, cli._build_parsers.cache_info().currsize)",
+        "print(codes, built, cli.build_parser.cache_info().currsize)",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))

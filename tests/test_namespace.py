@@ -40,5 +40,5 @@ def test_each_name_is_its_modules_object():
 
 
 def test_module_helpers_stay_out_of_the_package():
-    for name in ("defects", "mask_of", "set_of", "check_int"):
+    for name in ("defects", "set_of", "check_int"):
         assert not hasattr(circodes, name), name
