@@ -11,15 +11,8 @@ A graph stores only n, its offsets and its closed pattern
 every neighbourhood query costs O(degree) and a graph costs O(k) memory
 whatever n is.  No library code reads per-vertex closed-neighbourhood
 bitmasks; ``_closed_masks`` builds them for the benchmark's trace counter
-(``bench/spans.py``) only.
-
-Vertex subsets are handled as int bitmasks (bit u set means vertex u is
-in the set).  ``Code`` packs its members into one; ``set_of``, a helper
-of this module that the package does not export, unpacks a mask in
-linear time, through ``_flags``, one byte per vertex made from the mask's
-base-2 numeral, which ``itertools.compress`` turns into the vertices in C.
-``Code.members`` is ``set_of`` of the code's mask, and ``Code`` reads the
-same bytes for its share tables.
+(``bench/spans.py``) only.  Vertex subsets and their bitmasks belong to
+``codes``.
 
 The three value types, ``CirculantGraph``, ``codes.Code`` and
 ``constructions.PeriodicCode``, derive from ``_Frozen``, the one
@@ -29,30 +22,10 @@ definition of their immutability.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import compress, count
 
 from .errors import DuplicateOffset, OffsetOutOfRange, VertexOutOfRange, check_int
 
 __all__ = ["CirculantGraph"]
-
-
-def set_of(mask: int) -> frozenset[int]:
-    """Unpack a nonnegative bitmask into a frozenset of vertices, in linear time."""
-    return frozenset(compress(count(), _flags(check_int(mask, "mask", 0))))
-
-
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _flags(mask: int) -> bytes:
-    """Byte x is 1 where bit x of the nonnegative ``mask`` is set, else 0.
-
-    The mask's base-2 numeral, reversed so that byte x stands for bit x,
-    with its digits mapped to 0 and 1: one byte per bit up to the top set
-    bit (one zero byte for 0).  ``compress`` over these bytes picks the
-    set bits in ascending order, in C.
-    """
-    return bin(mask)[:1:-1].encode().translate(_BITS)
 
 
 class _Frozen:

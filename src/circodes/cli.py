@@ -248,7 +248,8 @@ def cmd_search(args) -> int:
     def text():
         name = f"C({args.n};{','.join(map(str, g.offsets))})"
         if args.k is not None:
-            yield (f"{name} has a {kind.value} code of size {args.k}: {code}"
+            yield (f"{name} has {'an' if kind is Kind.IDENTIFYING else 'a'} {kind.value} code "
+                   f"of size {args.k}: {code}"
                    if code is not None else
                    f"{name} has no {kind.value} code of size {args.k} ({result.note})")
         elif code is None:

@@ -18,10 +18,11 @@ vertices u with u + q in S, so:
 
 Equal nonempty shadows share a member, so only d <= 2*dmax can collide.
 Each check is a few dozen shifts and ORs of n-bit integers: linear in n.
-``Code.verify`` picks its witness from the kernel's bits, the exhaustive
-search fills its pruning rows from it and asks it whether a leaf that the
-rows pass is valid, and ``verify_periodic`` runs it on a finite lift of the
-periodic code.
+One rule, ``_verdict``, turns the kernel's bits into a status and the
+smallest witness: ``Code.verify`` reads it on the whole cycle, and
+``verify_periodic`` on a finite lift of the periodic code, anchored at its
+first period.  The exhaustive search fills its pruning rows from the kernel
+and asks it whether a leaf that the rows pass is valid.
 
 Shares are exact rationals (`fractions.Fraction`): the thresholds used by
 the heavy-vertex classifiers (3 and 11/4) must be compared exactly.  Every
@@ -50,10 +51,10 @@ stays a pure check.
 A code is mask-first: the mask is its only state.  ``Code(graph,
 members)`` packs the iterable in one validating pass, in the order given,
 and ``Code.from_mask`` takes a mask that the constructions and the search
-build directly.  The membership bytes (``circulant._flags``: byte u is 1
-when u is a member), the member frozenset (``circulant.set_of``, which
-unpacks those bytes by ``compress`` in C) and the tables are derived from
-the mask when first read.
+build directly.  The membership bytes (byte u is 1 when u is a member,
+made from the mask's base-2 numeral), the member frozenset (those bytes
+picked by ``compress`` in C) and the tables are derived from the mask when
+first read; this module is the only one that unpacks a code's mask.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import compress, count
 from numbers import Number
 from typing import NamedTuple
 
-from .circulant import CirculantGraph, _flags, _Frozen, set_of
+from .circulant import CirculantGraph, _Frozen
 from .errors import NotInCode, ShareUndefined, VertexOutOfRange, check_int
 
 __all__ = [
@@ -106,6 +107,9 @@ class Status(str, Enum):
 
 
 _FAIL_STATUS = {Kind.LOCATING: Status.NOT_LOCATING, Kind.IDENTIFYING: Status.NOT_IDENTIFYING}
+
+# Maps the digits of a base-2 numeral to the membership bytes 0 and 1.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 # Share thresholds beyond which a code vertex is called heavy, and the
 # only shadow-size profiles a heavy vertex can then have (n >= 13).
@@ -184,13 +188,17 @@ class Code(_Frozen):
 
     @cached_property
     def _membership(self) -> bytes:
-        """Byte u is 1 when u is a member, else 0: n bytes, indexed by u."""
-        return _flags(self.mask).ljust(self.graph.n, b"\0")
+        """Byte u is 1 when u is a member, else 0: n bytes, indexed by u.
+
+        The mask's base-2 numeral, reversed so that byte u stands for bit u,
+        with its digits mapped to 0 and 1 and zero bytes padded up to n.
+        """
+        return bin(self.mask)[:1:-1].encode().translate(_BITS).ljust(self.graph.n, b"\0")
 
     @cached_property
     def members(self) -> frozenset[int]:
-        """The member vertices, unpacked from the mask in C on first read."""
-        return set_of(self.mask)
+        """The member vertices, picked from the membership bytes in C on first read."""
+        return frozenset(compress(count(), self._membership))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -294,27 +302,8 @@ class Code(_Frozen):
 
     def verify(self, kind: Kind) -> VerificationResult:
         """Check the code property, returning a witness on failure."""
-        kind = _as_kind(kind)
-        n = self.graph.n
-        pairs = []  # the smallest colliding pair for each d and side of the wrap
-        for d, bits in defects(n, self.mask, self.graph.pattern, kind):
-            if not d:
-                return VerificationResult(Status.NOT_DOMINATING, _lowest_bit(bits))
-            # u < n - d gives the pair (u, u + d); a wrapping u = i + n - d
-            # gives (i, i + n - d).  Both grow with u, so each side's lowest
-            # set bit names its smallest pair.
-            split = n - d
-            head = bits & ((1 << split) - 1)
-            if head:
-                u = _lowest_bit(head)
-                pairs.append((u, u + d))
-            tail = bits >> split
-            if tail:
-                i = _lowest_bit(tail)
-                pairs.append((i, i + split))
-        if pairs:
-            return VerificationResult(_FAIL_STATUS[kind], min(pairs))
-        return VerificationResult(Status.VALID)
+        g = self.graph
+        return _verdict(g.n, self.mask, g.pattern, _as_kind(kind))
 
     def is_dominating(self) -> VerificationResult:
         return self.verify(Kind.DOMINATING)
@@ -324,6 +313,35 @@ class Code(_Frozen):
 
     def is_identifying(self) -> VerificationResult:
         return self.verify(Kind.IDENTIFYING)
+
+
+def _verdict(n: int, mask: int, pattern: tuple[int, ...], kind: Kind,
+             anchors: int | None = None) -> VerificationResult:
+    """The status of the code ``mask`` on Z_n, with its smallest witness.
+
+    Reads the bits of ``defects``, with the same ``anchors``: the smallest
+    undominated vertex, or else the smallest pair (u, u + d mod n) that
+    collides, over every d.
+    """
+    pairs = []  # the smallest colliding pair for each d and side of the wrap
+    for d, bits in defects(n, mask, pattern, kind, anchors):
+        if not d:
+            return VerificationResult(Status.NOT_DOMINATING, _lowest_bit(bits))
+        # u < n - d gives the pair (u, u + d); a wrapping u = i + n - d
+        # gives (i, i + n - d).  Both grow with u, so each side's lowest
+        # set bit names its smallest pair.
+        split = n - d
+        head = bits & ((1 << split) - 1)
+        if head:
+            u = _lowest_bit(head)
+            pairs.append((u, u + d))
+        tail = bits >> split
+        if tail:
+            i = _lowest_bit(tail)
+            pairs.append((i, i + split))
+    if pairs:
+        return VerificationResult(_FAIL_STATUS[kind], min(pairs))
+    return VerificationResult(Status.VALID)
 
 
 def _lowest_bit(mask: int) -> int:

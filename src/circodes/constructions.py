@@ -16,9 +16,9 @@ five thin identifying orders in ``_IDENTIFYING_SPECIALS`` are stored as
 member lists.  A code's members are unpacked only when read.
 
 Periodic codes on the infinite graph (vertex set Z, offsets {1,3}) are
-modeled by ``PeriodicCode``.  ``verify_periodic`` runs the whole-code kernel
-``codes.defects`` on a finite cycle that the periodic code tiles, long
-enough that no constraint wraps around it.
+modeled by ``PeriodicCode``.  ``verify_periodic`` reads the whole-code
+verdict of ``codes`` on a finite cycle that the periodic code tiles, long
+enough that no constraint wraps around it, anchored at one period.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .circulant import CirculantGraph, _Frozen
-from .codes import (_FAIL_STATUS, Code, Kind, Status, VerificationResult, _as_kind, _lowest_bit,
-                    defects)
+from .codes import Code, Kind, VerificationResult, _as_kind, _verdict
 from .errors import UnsupportedOrder, check_int
 from .proofs import PROOFS
 
@@ -54,9 +53,10 @@ LOCATING_BLOCK = (0, 1)
 IDENTIFYING_BLOCK_PERIOD = 11
 IDENTIFYING_BLOCK = (0, 1, 4, 5)
 
-# Tail patches by residue class, as offsets relative to n.  A row (b, patch)
-# means: tile full blocks over [0, n - 11*b - r) and add {n + o : o in patch}.
-# Every row is verified across its whole supported range by the test suite.
+# Tail patches, keyed by n mod period, as offsets relative to n.
+# ``_tiled_code`` tiles the n // period whole blocks from vertex 0 and then
+# sets {n + o : o in patch}.  Every row is verified across its whole
+# supported range by the test suite.
 _LOCATING_ROWS: dict[int, tuple[int, ...]] = {
     0: (),
     1: (-3,),
@@ -153,22 +153,17 @@ def verify_periodic(p: PeriodicCode, kind: Kind) -> VerificationResult:
     Two compared shadows span at most 4*dmax + 1 = 13 consecutive vertices.
     On the lift to C(N;1,3), N the first multiple of the period that is at
     least period + 12, those vertices stay distinct, so the lift breaks a
-    constraint at u exactly where the infinite graph does.  Witnesses are
-    plain integers (vertices of the infinite graph) with the smallest
-    first vertex, which lies below the period.
+    constraint at u exactly where the infinite graph does.  The lift's
+    defects repeat with the period, so ``codes._verdict`` checks only the
+    vertices u of the first period: it gives the status and smallest
+    witness of the whole lift.  Witnesses are plain integers (vertices of
+    the infinite graph) whose first vertex lies below the period; no pair
+    wraps, since u + d < period + 2*dmax < N.
     """
     kind = _as_kind(kind)
     lift = CirculantGraph(-(-(p.period + 12) // p.period) * p.period)
     mask = int(_numeral(p.period, p.residues) * (lift.n // p.period), 2)
-    pairs = []
-    for d, bits in defects(lift.n, mask, lift.pattern, kind):
-        u = _lowest_bit(bits)
-        if not d:
-            return VerificationResult(Status.NOT_DOMINATING, u)
-        pairs.append((u, u + d))
-    if pairs:
-        return VerificationResult(_FAIL_STATUS[kind], min(pairs))
-    return VerificationResult(Status.VALID)
+    return _verdict(lift.n, mask, lift.pattern, kind, (1 << p.period) - 1)
 
 
 def construct_A(t: int) -> Code:

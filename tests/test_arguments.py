@@ -34,7 +34,6 @@ from circodes import (
     min_code_size,
 )
 from circodes import transfer
-from circodes.circulant import set_of
 from circodes.proofs import PROOFS
 
 C = CirculantGraph
@@ -55,7 +54,6 @@ ENTRY_POINTS = {
     "share": (CODE.share, 0, 12),
     # the width check names the top bit, so only masks below 0 are out of range
     "from-mask": (lambda v: Code.from_mask(C(13), v), 0, None),
-    "set-of": (set_of, 0, None),
     "period": (lambda v: PeriodicCode(v, [0]), 1, None),
     "residue": (lambda v: PeriodicCode(6, [v]), 0, 5),
     "construct-A": (construct_A, 2, None),

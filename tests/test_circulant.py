@@ -6,7 +6,6 @@ import pytest
 
 import circodes
 from circodes import CirculantGraph, DuplicateOffset, OffsetOutOfRange, VertexOutOfRange
-from circodes.circulant import set_of
 
 
 def test_basic_construction():
@@ -150,10 +149,3 @@ def test_other_offset_sets():
     assert g.degree == 4
     g5 = CirculantGraph(11, [2])
     assert sorted(g5.neighbors(0)) == [2, 9]
-
-
-def test_mask_helpers_roundtrip():
-    assert set_of(1 | 1 << 3 | 1 << 7) == frozenset({0, 3, 7})
-    assert set_of(0) == frozenset()
-    with pytest.raises(ValueError):
-        set_of(-1)

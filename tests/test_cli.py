@@ -333,12 +333,14 @@ def test_search_twins_exit_one(capsys, n, offsets, pair):
      "minimum locating code of C(14;1,4): size 5"),
     (("-n", "12", "--offsets", "3, 1", "--kind", "locating", "--k", "5"),
      "C(12;1,3) has a locating code of size 5: [0, 1, 2, 3, 7]"),
+    (("-n", "13", "--offsets", "3 1", "--kind", "identifying", "--k", "6"),
+     "C(13;1,3) has an identifying code of size 6: [0, 1, 2, 6, 7, 10]"),
     (("-n", "12", "--offsets", "3, 1", "--kind", "locating", "--k", "4"),
      "C(12;1,3) has no locating code of size 4 (exhaustive)"),
     (("-n", "5", "--offsets", "2 1", "--kind", "identifying"),
      "C(5;1,2): no identifying code exists: vertices 0 and 1 have equal closed "
      "neighbourhoods"),
-], ids=["optimum", "exists", "absent", "twins"])
+], ids=["optimum", "exists", "exists-identifying", "absent", "twins"])
 def test_search_names_the_graph_by_sorted_offsets(capsys, argv, first_line):
     _, out, _ = run(capsys, "search", *argv)
     assert out.splitlines()[0] == first_line

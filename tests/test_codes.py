@@ -28,7 +28,6 @@ from circodes import (
     verify_periodic,
 )
 from circodes import codes, search, transfer
-from circodes.circulant import set_of
 from circodes.codes import defects
 
 
@@ -295,7 +294,7 @@ def test_heavy_profile_violations_rejects_dominating_kind():
 def test_mask_roundtrip():
     g = C(13)
     code = Code(g, {0, 1, 6, 7, 10})
-    assert Code(g, set_of(code.mask)) == code
+    assert Code(g, code.members) == code
     assert len(code) == 5
     assert 6 in code and 2 not in code
 

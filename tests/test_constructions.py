@@ -311,7 +311,10 @@ def test_verify_periodic_matches_explicit_lift(p):
     members = [i * p.period + r for i in range(n // p.period) for r in sorted(p.residues)]
     lift = Code(CirculantGraph(n), members)
     for kind in Kind:
-        assert verify_periodic(p, kind).status == lift.verify(kind).status, kind
+        result = verify_periodic(p, kind)
+        assert result.status == lift.verify(kind).status, kind
+        # witnesses past the exhaustive test's periods, from the definition
+        assert (result.status, result.witness) == periodic_reference(p, kind), (p, kind)
 
 
 def test_periodic_agrees_with_finite_beyond_validity_floor():
