@@ -261,7 +261,8 @@ def cmd_search(args) -> int:
                 yield ("optimal by the stored transfer-matrix proof; "
                        "certificate checked by Code.verify")
             else:
-                yield (f"examined {result.stats.examined} candidates in "
+                examined = result.stats.examined
+                yield (f"examined {examined} candidate{'' if examined == 1 else 's'} in "
                        f"{result.stats.wall_time:.2f}s")
 
     _emit(args.json, "search", params, outcome, t0, text)

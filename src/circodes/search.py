@@ -28,27 +28,28 @@ direction.
 
 With the last member at pos, a placement at pos + gap settles the vertices
 up to pos + gap - dmax.  Their checks read only the gap and the code bits
-max(pos - 4*dmax + 1, 0) .. pos, whatever n is, so one cache per
-(offsets, kind) maps each such window to the row of gaps that prune, for
-every dmax.  A miss fills the row with two ``codes.defects`` calls on one
-cycle that holds all 2*dmax + 1 placements as disjoint copies, anchored at
-each copy's settled vertices: domination, then the pairs of the copies that
-passed.  Vertices settled earlier pass again, as they did when they
+max(pos - 4*dmax + 1, 0) .. pos, whatever n is, so one table per
+(offsets, kind), a ``_Rows``, maps each such window to the row of gaps that
+prune, for every dmax; it holds the window geometry that the DFS, the fills
+and the walk read.  A miss fills the row with two ``codes.defects`` calls on
+one cycle that holds all 2*dmax + 1 placements as disjoint copies, anchored
+at each copy's settled vertices: domination, then the pairs of the copies
+that passed.  Vertices settled earlier pass again, as they did when they
 settled, so the counts are those of checking the new vertices alone.
 
 A leaf closes through the same rows.  After its symmetry and gap-cap
-checks, the walk goes on past n along the code's periodic extension,
-placing the code's own members 0, m1, ... at n, n + m1, ..., and reads
-each window's row, until a member at or past n + 4*dmax - 1 settles the
-last pair of Z_n.  The leaf is rejected at the first pruning bit; one that
-passes still gets the full ``codes.defects`` pass, so a certificate never
-rests on the rows alone.  The walk runs only where n >= 6*dmax + 1: only
-there does its first window lie inside one period, where it is the window
-of a DFS node and shared with other leaves and nodes.  The windows across
-the wrap are each leaf's own, so a cold search fills more rows, and a warm
-one skips the full pass on nearly every leaf that fails.  Below that
-order every window straddles the wrap, and leaves go straight to the full
-pass.
+checks, the walk (``_Rows.passes``) goes on past n along the code's
+periodic extension, placing the code's own members 0, m1, ... at n, n + m1,
+..., and reads each window's row, until a member at or past n + 4*dmax - 1
+settles the last pair of Z_n.  The leaf is rejected at the first pruning
+bit; one that passes still gets the full ``codes.defects`` pass, so a
+certificate never rests on the rows alone.  The walk runs only where
+n >= 6*dmax + 1: only there does its first window lie inside one period,
+where it is the window of a DFS node and shared with other leaves and
+nodes.  The windows across the wrap are each leaf's own, so a cold search
+fills more rows, and a warm one skips the full pass on nearly every leaf
+that fails.  Below that order every window straddles the wrap, and leaves
+go straight to the full pass.
 
 A node one member short of k closes its leaf children itself, with no call
 per leaf.  It steps only over the set bits of its unpruned gaps, counts
@@ -71,7 +72,6 @@ first-gap subtree, the one holding the code included.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -106,62 +106,17 @@ NAIVE_LIMIT = 16
 _VERDICTS: dict[tuple[tuple[int, ...], Kind], _Rows] = {}
 
 
-@lru_cache(maxsize=None)
-def _layout(dmax: int, pos: int):
-    """The cycle ``_prune_row`` checks when the last member sits at pos.
-
-    Copy g - 1 holds the placement of gap g, in bits (g - 1)*span onward.
-    Returns the cycle length, the multiplier that repeats a window into
-    every copy (bit 0 of each), the new members, the anchors (each copy's
-    settled vertices dmax .. pos + g - dmax), and the multiplier that
-    gathers bit 0 of copy g - 1 into bit n + g.
-    """
-    span = 6 * dmax + 1  # a copy reads its bits 0 .. pos + gap <= 6*dmax
-    gaps = range(1, 2 * dmax + 2)
-    n = len(gaps) * span
-    repeat = members = anchors = gather = 0
-    for gap in gaps:
-        shift = (gap - 1) * span
-        repeat |= 1 << shift
-        members |= 1 << (shift + pos + gap)
-        if pos + gap >= 2 * dmax:
-            anchors |= ((2 << (pos + gap - dmax)) - (1 << dmax)) << shift
-        # in a product with gather, distinct pairs of bits land at least
-        # span apart, so nothing carries
-        gather |= 1 << (n + gap - shift)
-    return n, repeat, members, anchors, gather
-
-
-def _prune_row(window: int, pattern: tuple[int, ...], dmax: int, kind: Kind) -> int:
-    """Bit gap set for each gap 1..2*dmax+1 at which the next member prunes.
-
-    ``window`` holds the code bits up to the last member, at its top bit.
-    A pair (u, u + d) counts only once u + d is settled.
-    """
-    n, repeat, members, anchors, gather = _layout(dmax, window.bit_length() - 1)
-    top = 6 * dmax  # the top bit of a copy, above every anchor
-    guards = repeat << top
-    mask = window * repeat | members
-    bad = next(defects(n, mask, pattern, Kind.DOMINATING, anchors), (0, 0))[1]
-    # bit 0 of each copy with a bad anchor: a copy's guard bit survives the
-    # borrow of its bit 0 unless the copy's bits below it are all clear
-    failed = (((bad | guards) - repeat) & guards) >> top
-    if kind is not Kind.DOMINATING and failed != repeat:
-        live = anchors & ~(failed * ((2 << top) - 1))
-        for d, bits in defects(n, mask, pattern, kind, live):
-            bad |= bits & live >> d
-        failed = (((bad | guards) - repeat) & guards) >> top
-    return (failed * gather >> n) & ((4 << 2 * dmax) - 2)
-
-
 class _Rows(dict):
     """The entries of one (offsets, kind) by window; a miss fills its row.
 
-    With cap = 2*dmax + 1, an entry is laid out as
+    The table is the search's one model of a window: its top bit is the
+    last member, at most ``steady`` = 4*dmax - 1 (``width`` masks a window
+    of that top bit out of a longer code), and no gap exceeds
+    ``cap`` = 2*dmax + 1.  An entry is laid out as
 
-    - bits 0..cap: the window's row, as ``_prune_row`` gives it;
-    - bit g*(cap + 2) + h, for g in 1..cap: bit h of the row of
-      ``child(window, g)``, the window after one more member at gap g;
+    - bits 0..cap: the window's row, as ``__missing__`` fills it;
+    - bit g*(cap + 2) + h, for g in 1..cap: bit h of the row of child g,
+      the window after one more member at gap g;
     - bit ``folded`` + g: child g's row is folded in.
 
     A miss fills the row alone; ``fold`` adds the children a leaf's first
@@ -171,14 +126,15 @@ class _Rows(dict):
     prunes.
     """
 
-    __slots__ = ("pattern", "dmax", "kind", "steady", "row_bits", "stride", "folded",
-                 "diag", "spread")
+    __slots__ = ("pattern", "kind", "cap", "steady", "width", "row_bits", "stride", "folded",
+                 "diag", "spread", "cycle", "top", "repeat", "step", "gather", "anchors")
 
     def __init__(self, pattern: tuple[int, ...], dmax: int, kind: Kind):
         super().__init__()
-        self.pattern, self.dmax, self.kind = pattern, dmax, kind
-        cap = 2 * dmax + 1
-        self.steady = 4 * dmax - 1  # the top bit of a window past the prefix
+        self.pattern, self.kind = pattern, kind
+        self.cap = cap = 2 * dmax + 1
+        self.steady = steady = 4 * dmax - 1  # the top bit of a window past the prefix
+        self.width = (2 << steady) - 1
         self.row_bits = (2 << cap) - 1
         self.stride = cap + 2
         self.folded = (cap + 1) * self.stride
@@ -187,57 +143,90 @@ class _Rows(dict):
         # products miss diag, and none meet unless gaps holds both 0 and cap
         self.diag = sum(1 << g * (cap + 1) for g in range(cap + 1))
         self.spread = sum(1 << g * cap for g in range(cap + 1))
+        # The cycle a miss checks, with the last member at pos: copy g - 1
+        # holds the placement of gap g, in bits (g - 1)*span onward.
+        # ``repeat`` repeats a window into every copy (bit 0 of each),
+        # ``step << pos`` are the new members, ``anchors[pos]`` each copy's
+        # settled vertices dmax .. pos + g - dmax, and ``gather`` the
+        # multiplier that gathers bit 0 of copy g - 1 into bit cycle + g.
+        span = 6 * dmax + 1  # a copy reads its bits 0 .. pos + gap <= 6*dmax
+        self.cycle = cap * span
+        self.top = span - 1  # the top bit of a copy, above every anchor
+        self.repeat = self.step = self.gather = 0
+        self.anchors = [0] * (steady + 1)
+        for gap in range(1, cap + 1):
+            shift = (gap - 1) * span
+            self.repeat |= 1 << shift
+            self.step |= 1 << (shift + gap)
+            # in a product with gather, distinct pairs of bits land at least
+            # span apart, so nothing carries
+            self.gather |= 1 << (self.cycle + gap - shift)
+            for pos in range(max(2 * dmax - gap, 0), steady + 1):
+                self.anchors[pos] |= ((2 << (pos + gap - dmax)) - (1 << dmax)) << shift
 
     def __missing__(self, window: int) -> int:
-        row = self[window] = _prune_row(window, self.pattern, self.dmax, self.kind)
-        return row
+        """Fill the row of ``window``: bit g for each gap g at which the next member prunes.
 
-    def child(self, window: int, gap: int) -> int:
-        """The window after one more member, gap above the window's top bit."""
-        last = window.bit_length() - 1 + gap
-        window |= 1 << last
-        return window >> (last - self.steady) if last > self.steady else window
+        ``window`` holds the code bits up to the last member, at its top bit.
+        A pair (u, u + d) counts only once u + d is settled.
+        """
+        n, repeat, top = self.cycle, self.repeat, self.top
+        pos = window.bit_length() - 1
+        anchors = self.anchors[pos]
+        guards = repeat << top
+        mask = window * repeat | self.step << pos
+        bad = next(defects(n, mask, self.pattern, Kind.DOMINATING, anchors), (0, 0))[1]
+        # bit 0 of each copy with a bad anchor: a copy's guard bit survives the
+        # borrow of its bit 0 unless the copy's bits below it are all clear
+        failed = (((bad | guards) - repeat) & guards) >> top
+        if self.kind is not Kind.DOMINATING and failed != repeat:
+            live = anchors & ~(failed * ((2 << top) - 1))
+            for d, bits in defects(n, mask, self.pattern, self.kind, live):
+                bad |= bits & live >> d
+            failed = (((bad | guards) - repeat) & guards) >> top
+        row = self[window] = (failed * self.gather >> n) & (self.row_bits ^ 1)  # gaps 1..cap
+        return row
 
     def fold(self, window: int, need: int) -> int:
         """The entry of ``window`` with the children at the gaps in ``need`` folded in."""
         entry = self[window] | need << self.folded
+        pos = window.bit_length() - 1
         while need:
             low = need & -need
             gap = low.bit_length() - 1
-            entry |= (self[self.child(window, gap)] & self.row_bits) << gap * self.stride
+            # child gap: one more member, gap above the window's top bit
+            child = (window | low << pos) >> max(pos + gap - self.steady, 0)
+            entry |= (self[child] & self.row_bits) << gap * self.stride
             need ^= low
         self[window] = entry
         return entry
 
+    def passes(self, n: int, mask: int) -> bool:
+        """Whether the rows pass a leaf's code ``mask`` on Z_n past its last member.
 
-def _rows_pass(rows: _Rows, n: int, mask: int) -> bool:
-    """Whether the rows pass a leaf's code ``mask`` on Z_n past its last member.
+        From the last member, the walk goes on along the code's periodic
+        extension: it places the code's own members 0, m1, ... at n, n + m1,
+        ..., and reads the row of each window as a DFS placement does.  A
+        member at or past n + 4*dmax - 1 settles the last pair that any vertex
+        of Z_n takes part in, (n + dmax - 1, n + 3*dmax - 1), so the walk stops
+        there.  A prune is a defect of the code, as long as n >= 6*dmax + 1,
+        0 is a member and the last member is at least n - 2*dmax - 1.
 
-    From the last member, the walk goes on along the code's periodic
-    extension: it places the code's own members 0, m1, ... at n, n + m1,
-    ..., and reads the row of each window as a DFS placement does.  A
-    member at or past n + 4*dmax - 1 settles the last pair that any vertex
-    of Z_n takes part in, (n + dmax - 1, n + 3*dmax - 1), so the walk stops
-    there.  A prune is a
-    defect of the code, as long as n >= 6*dmax + 1, 0 is a member and the
-    last member is at least n - 2*dmax - 1.
-
-    The walk steps by the code's own gaps, and none of them exceeds the cap
-    2*dmax + 1: the DFS places none longer, the wrap gap is the last
-    member's distance to n, and a valid code has no longer one either.  So
-    a read ``>> gap & 1`` sees only row bits of an entry.
-    """
-    steady = 4 * rows.dmax - 1
-    width = (2 << steady) - 1
-    ext = mask | mask << n
-    pos = mask.bit_length() - 1
-    while pos < n + steady:
-        rest = ext >> (pos + 1)
-        gap = (rest & -rest).bit_length()
-        if rows[ext >> (pos - steady) & width] >> gap & 1:
-            return False
-        pos += gap
-    return True
+        The walk steps by the code's own gaps, and none of them exceeds the cap
+        2*dmax + 1: the DFS places none longer, the wrap gap is the last
+        member's distance to n, and a valid code has no longer one either.  So
+        a read ``>> gap & 1`` sees only row bits of an entry.
+        """
+        steady, width = self.steady, self.width
+        ext = mask | mask << n
+        pos = mask.bit_length() - 1
+        while pos < n + steady:
+            rest = ext >> (pos + 1)
+            gap = (rest & -rest).bit_length()
+            if self[ext >> (pos - steady) & width] >> gap & 1:
+                return False
+            pos += gap
+        return True
 
 
 class BoundReport(NamedTuple):
@@ -328,15 +317,13 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
         valid = next(defects(n, (1 << n) - 1, pattern, kind), None) is None
         return (Code.from_mask(g, (1 << n) - 1) if valid else None), SearchStats()
     dmax = offsets[-1]
-    cap = 2 * dmax + 1
-    steady = 4 * dmax - 1
     rows = _VERDICTS.get((offsets, kind))
     if rows is None:
         rows = _VERDICTS[offsets, kind] = _Rows(pattern, dmax, kind)
     # only then does a leaf's first window lie inside one period, as the
     # window of a DFS node does
     walk = n >= 6 * dmax + 1
-    folded, diag, spread = rows.folded, rows.diag, rows.spread
+    cap, steady, folded, diag, spread = rows.cap, rows.steady, rows.folded, rows.diag, rows.spread
     examined = 0
     pruned_sym = 0
     pruned_bound = 0
@@ -372,7 +359,7 @@ def _search_at_size(g: CirculantGraph, kind: Kind, k: int,
             low = left & -left
             gap = (low.bit_length() - 1) // (cap + 1)
             leaf = mask | 1 << (pos + gap)
-            if not walk or _rows_pass(rows, n, leaf):
+            if not walk or rows.passes(n, leaf):
                 leaf_checks += 1
                 if next(defects(n, leaf, pattern, kind), None) is None:
                     found.append(leaf)

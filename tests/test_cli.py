@@ -191,6 +191,16 @@ def test_search_optimum(capsys):
     assert "size 5" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("-n", "5", "--offsets", "2,1", "--kind", "dominating"), r"examined 1 candidate in"),
+    (("-n", "12", "--kind", "locating"), r"examined 70 candidates in"),
+], ids=["one", "many"])
+def test_search_counts_candidates_in_number(capsys, argv, line):
+    code, out, _ = run(capsys, "search", *argv)
+    assert code == 0
+    assert re.search(rf"^{line} \d+\.\d\ds$", out, re.MULTILINE), out
+
+
 def test_search_fixed_k_found(capsys):
     code, doc = run_json(capsys, "search", "-n", "11", "--kind", "identifying",
                          "--k", "4")
@@ -535,6 +545,23 @@ def test_one_graph_per_question(capsys, monkeypatch, argv):
             f"{'' if n < 11 else identifying_code_size(n)},"
             f"{min_code_size(CirculantGraph(n), Kind.IDENTIFYING).outcome.size},"
             f"{'' if n < 11 else '='}" for n in range(8, 30)]
+
+
+def test_table_row_past_the_budget(capsys, monkeypatch):
+    # a construction that fails its check leaves n = 39 to the search, whose
+    # budget stops at 38: the row shows no optimum, and the table goes on
+    from circodes import constructions
+    build = constructions.locating_code_for
+    monkeypatch.setattr(constructions, "locating_code_for",
+                        lambda n: Code(CirculantGraph(n), range(len(build(n)))))
+    argv = ("table", "--kind", "locating", "--from", "39", "--to", "39")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "   n  bound  constr  optimum match\n"
+                              "  39     13      14        - \n")
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc["outcome"]["rows"]) == (0, [
+        {"construction": 14, "engine": None, "lower_bound": 13, "match": "", "n": 39,
+         "optimum": None}])
 
 
 def test_table_bad_range_exit_two(capsys):
@@ -940,6 +967,10 @@ def test_json_documents_byte_stable(capsys, argv, status, document):
      "no general locating construction for n=12 < 13; use `circodes search` for small orders"),
     (("table", "--kind", "locating", "--from", "9", "--to", "8"),
      "bad range 9..8; need 7 <= from <= to"),
+    (("table", "--kind", "locating", "--from", "6", "--to", "8"),
+     "bad range 6..8; need 7 <= from <= to"),
+    (("table", "--kind", "dominating", "--from", "13", "--to", "14"),
+     "table supports locating and identifying kinds"),
     (("density", "--period", "6", "--residues", "0,6", "--kind", "locating"),
      "residue 6 outside [0, 6)"),
     (("prove", "--kind", "locating", "--offsets", "0"),
@@ -947,7 +978,8 @@ def test_json_documents_byte_stable(capsys, argv, status, document):
     (("prove", "--kind", "locating", "--offsets", "1,4"),
      "the transfer-matrix solver needs dmax <= 3, got offsets (1, 4)"),
 ], ids=["kind", "code", "code-file", "threshold", "construct-dominating",
-        "construct-order", "table-range", "density-residue", "prove-offsets", "prove-dmax"])
+        "construct-order", "table-range", "table-from", "table-dominating",
+        "density-residue", "prove-offsets", "prove-dmax"])
 @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
 def test_usage_errors_byte_stable(capsys, tmp_path, argv, message, fmt):
     missing = str(tmp_path / "missing.txt")

@@ -418,7 +418,7 @@ def _leaves(draw):
 def test_walk_never_rejects_a_valid_code(leaf):
     offsets, n, kind, mask = leaf
     rows = search._Rows(C(n, offsets).pattern, offsets[-1], kind)
-    assert search._rows_pass(rows, n, mask)
+    assert rows.passes(n, mask)
 
 
 def _reference_search(g, kind, k):
@@ -448,7 +448,7 @@ def _reference_search(g, kind, k):
             if wrap > cap:
                 counts[2] += 1
                 return False
-            if walk and not search._rows_pass(rows, n, mask):
+            if walk and not rows.passes(n, mask):
                 return False
             counts[3] += 1
             if next(defects(n, mask, pattern, kind), None) is None:
@@ -550,7 +550,7 @@ def test_cached_rows_match_reference(question):
     offsets, window, kind = question
     dmax = offsets[-1]
     pattern = C(4 * dmax + 1, offsets).pattern
-    row = search._prune_row(window, pattern, dmax, kind)
+    row = search._Rows(pattern, dmax, kind)[window]
     expected = sum(1 << gap for gap in range(1, 2 * dmax + 2)
                    if _reference_prunes(window, gap, offsets, kind))
     assert row == expected
@@ -570,7 +570,7 @@ def test_folded_entry_layout(question, first, second):
     rows.fold(window, first & gaps)
     entry = rows.fold(window, second & gaps)
     assert entry == rows[window]
-    assert entry & ((2 << cap) - 1) == search._prune_row(window, pattern, dmax, kind)
+    assert entry & ((2 << cap) - 1) == search._Rows(pattern, dmax, kind)[window]
     assert entry >> rows.folded == (first | second) & gaps
     top = window.bit_length() - 1
     for gap in range(1, cap + 1):
@@ -578,7 +578,7 @@ def test_folded_entry_layout(question, first, second):
         if entry >> (rows.folded + gap) & 1:
             last = top + gap
             child = (window | 1 << last) >> max(last - steady, 0)
-            assert field == search._prune_row(child, pattern, dmax, kind), gap
+            assert field == search._Rows(pattern, dmax, kind)[child], gap
         else:
             assert field == 0, gap
 
